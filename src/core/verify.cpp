@@ -93,42 +93,52 @@ std::size_t matching_size(const std::vector<std::uint8_t>& in_matching) {
 
 namespace {
 
-/// The Status forms run the structured auditor (stabilize/audit.h) and
-/// split its one scan by kind: validity findings belong to
-/// matching_status, maximality findings to maximal_status. The message
-/// then names the first divergent node and the failure shape instead of
-/// the oracle's free-form diagnostic.
-Status audit_subset(const list::LinkedList& list,
-                    const std::vector<std::uint8_t>& in_matching,
-                    bool maximality) {
+/// One auditor scan, with the size check's check_error as a Status.
+Result<stabilize::CorruptionReport> audit(
+    const list::LinkedList& list,
+    const std::vector<std::uint8_t>& in_matching) {
   try {
-    stabilize::CorruptionReport report =
-        stabilize::audit_matching(list.next_array(), in_matching);
-    auto is_maximality = [](const stabilize::Finding& f) {
-      return f.kind == stabilize::Corruption::kNotMaximal;
-    };
-    report.findings.erase(
-        std::remove_if(report.findings.begin(), report.findings.end(),
-                       [&](const stabilize::Finding& f) {
-                         return is_maximality(f) != maximality;
-                       }),
-        report.findings.end());
-    return report.to_status(StatusCode::kFailedVerification);
+    return stabilize::audit_matching(list.next_array(), in_matching);
   } catch (const check_error& e) {
     return Status::failed_verification(e.what());
   }
+}
+
+/// The validity or the maximality findings of `report` as a Status: the
+/// message names the first divergent node and the failure shape.
+Status share(stabilize::CorruptionReport report, bool maximality) {
+  report.findings.erase(
+      std::remove_if(report.findings.begin(), report.findings.end(),
+                     [&](const stabilize::Finding& f) {
+                       return (f.kind == stabilize::Corruption::kNotMaximal) !=
+                              maximality;
+                     }),
+      report.findings.end());
+  return report.to_status(StatusCode::kFailedVerification);
 }
 
 }  // namespace
 
 Status matching_status(const list::LinkedList& list,
                        const std::vector<std::uint8_t>& in_matching) {
-  return audit_subset(list, in_matching, /*maximality=*/false);
+  Result<stabilize::CorruptionReport> report = audit(list, in_matching);
+  return report.ok() ? share(std::move(*report), /*maximality=*/false)
+                     : report.status();
 }
 
 Status maximal_status(const list::LinkedList& list,
                       const std::vector<std::uint8_t>& in_matching) {
-  return audit_subset(list, in_matching, /*maximality=*/true);
+  Result<stabilize::CorruptionReport> report = audit(list, in_matching);
+  return report.ok() ? share(std::move(*report), /*maximality=*/true)
+                     : report.status();
+}
+
+Status status(const list::LinkedList& list,
+              const std::vector<std::uint8_t>& in_matching) {
+  Result<stabilize::CorruptionReport> report = audit(list, in_matching);
+  if (!report.ok() || report->clean()) return report.status();
+  Status s = share(*report, /*maximality=*/false);
+  return s.ok() ? share(std::move(*report), /*maximality=*/true) : s;
 }
 
 }  // namespace llmp::core::verify

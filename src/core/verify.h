@@ -1,6 +1,9 @@
-// Correctness oracles. These are deliberately simple sequential checks —
-// independent of the PRAM machinery they audit — used by every test and by
-// the benches' self-checks.
+// Correctness oracles. The check_* functions are deliberately simple
+// sequential checks — independent of the PRAM machinery they audit and of
+// the structured auditor (stabilize/audit.h) — that throw check_error.
+// Every test and the benches' self-checks use them, and they referee the
+// auditor's fast verdict. The Status forms at the bottom are the
+// auditor's verdict instead, for callers that must not throw.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +46,24 @@ void check_pointer_partition(const list::LinkedList& list,
 std::size_t matching_size(const std::vector<std::uint8_t>& in_matching);
 
 /// Status forms of the two headline oracles for public entry points (the
-/// serve layer and llmp::run audit results instead of aborting a server):
-/// the identical checks, but a kFailedVerification Status carrying the
-/// diagnostic instead of a thrown check_error.
+/// serve layer and llmp::run check results instead of aborting a
+/// server). They do not rerun the checks above: each is one
+/// stabilize::audit_matching call (its fast verdict, then its report only
+/// on a defect) filtered by kind. matching_status keeps the validity
+/// findings (kMarkOnTail, kOverlappingMatch), maximal_status the
+/// maximality ones (kNotMaximal), and a non-empty share comes back as
+/// kFailedVerification naming its first node. Neither throws: the
+/// auditor's check_error on a wrong-sized bitmap comes back as
+/// kFailedVerification too. The list is a LinkedList, so the auditor's
+/// valid-chain precondition holds.
 Status matching_status(const list::LinkedList& list,
                        const std::vector<std::uint8_t>& in_matching);
 Status maximal_status(const list::LinkedList& list,
                       const std::vector<std::uint8_t>& in_matching);
+
+/// matching_status followed by maximal_status, from one audit: the same
+/// code and message those two calls return, for the price of one sweep.
+Status status(const list::LinkedList& list,
+              const std::vector<std::uint8_t>& in_matching);
 
 }  // namespace llmp::core::verify

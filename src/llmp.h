@@ -211,11 +211,7 @@ inline Result<core::MatchResult> run(Context& ctx, std::string_view name,
       !s.ok())
     return s;
   if (options.verify) {
-    if (Status s = core::verify::matching_status(list, out.in_matching);
-        !s.ok())
-      return s;
-    if (Status s = core::verify::maximal_status(list, out.in_matching);
-        !s.ok())
+    if (Status s = core::verify::status(list, out.in_matching); !s.ok())
       return s;
   }
   return out;

@@ -391,8 +391,9 @@ bool Service::process_job(WorkerContext& wc, std::size_t index, Job& job) {
         // shared list is const): the stabilize.corrupt.match failpoint
         // damages the matching deterministically from the request id,
         // and the effective audit policy decides what happens next —
-        // nothing (kOff: the corrupt payload is served, exactly like an
-        // unnoticed bit flip today), kDataLoss, or in-place repair.
+        // kDataLoss, in-place repair, or under kOff only the verify
+        // check (without it the corrupt payload is served, exactly like
+        // an unnoticed bit flip).
         stabilize::maybe_break_matching(job.req.list->next_array(),
                                         wc.scratch.in_matching, job.id);
         const AuditPolicy policy = job.req.audit.value_or(options_.audit);
@@ -417,13 +418,11 @@ bool Service::process_job(WorkerContext& wc, std::size_t index, Job& job) {
               s = report.to_status();  // kDataLoss
             }
           }
+        } else if (options_.verify) {
+          // Only without an audit: one that passed has just checked this
+          // predicate on these same arrays.
+          s = core::verify::status(*job.req.list, wc.scratch.in_matching);
         }
-      }
-      if (s.ok() && options_.verify) {
-        s = core::verify::matching_status(*job.req.list, wc.scratch.in_matching);
-        if (s.ok())
-          s = core::verify::maximal_status(*job.req.list,
-                                           wc.scratch.in_matching);
       }
       note_run_outcome(job, s.ok());
     }

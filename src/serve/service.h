@@ -22,8 +22,9 @@
 // request first honours its cancel token (kCancelled) and deadline
 // (kDeadlineExceeded — expiry *in the queue* is the common case under
 // overload), then runs the algorithm through its own Context into a
-// per-worker persistent MatchResult, optionally audits the output with
-// core::verify (kFailedVerification), and fulfills the future with a copy.
+// per-worker persistent MatchResult, optionally checks the output once
+// (an AuditPolicy audit, kDataLoss, or else core::verify,
+// kFailedVerification), and fulfills the future with a copy.
 //
 // Fault tolerance (docs/RESILIENCE.md has the full semantics):
 //
@@ -154,12 +155,14 @@ struct ServiceOptions {
   /// simulated time_p accounting, not host parallelism).
   std::size_t processors = 1024;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
-  /// Audit every result with core::verify (matching + maximal); failures
-  /// surface as kFailedVerification on that request's future.
+  /// Check every result with core::verify::status (matching + maximal);
+  /// failures surface as kFailedVerification on that request's future.
+  /// Skipped for a request whose effective audit policy is not kOff: an
+  /// audit that passed (or a repair it re-audited clean) has checked the
+  /// same predicate on the same arrays, so each request is scanned once.
   bool verify = false;
   /// Service-wide data-healing default; Request::audit overrides it per
-  /// request. Runs *before* `verify`, so a repaired result still has to
-  /// pass the classical oracles when both are on.
+  /// request.
   AuditPolicy audit = AuditPolicy::kOff;
   RetryPolicy retry;
   DegradePolicy degrade;

@@ -139,13 +139,79 @@ CorruptionReport audit_structure(const std::vector<index_t>& links) {
   return report;
 }
 
+namespace {
+
+/// 0 ^ 1 ^ ... ^ m, in closed form.
+index_t xor_through(index_t m) {
+  switch (m & 3u) {
+    case 0: return m;
+    case 1: return 1;
+    case 2: return m + 1;
+    default: return 0;
+  }
+}
+
+/// The fast verdict: whether `marks` is a valid maximal matching of the
+/// chain `links`, from one index-order sweep with no allocation and no
+/// branch on the marks. On a path, maximality is local to three
+/// consecutive pointers (Match1's one-of-three witness), so each node u,
+/// with s1 = links[u] and s2 = links[s1], rejects
+///   * u marked with no pointer (kMarkOnTail): u's gathers then re-read u,
+///     so the test below sees u "overlap" itself,
+///   * u and s1 both marked: pointers <u,s1> and <s1,s2> share s1
+///     (kOverlappingMatch),
+///   * u, s1 and s2 all unmarked while s1 has a pointer: <s1,s2> is
+///     unchosen with both ends free (kNotMaximal).
+/// Every pointer but the head's has a predecessor u to witness it. The
+/// head is the one id no pointer reaches: every id XOR every in-range
+/// successor, here every successor XOR the single tail's knil. Its own
+/// pointer is checked after the sweep.
+///
+/// Exact on a valid chain, where the only range tests that fail are at
+/// the tail and its predecessor. Any other links array is still read in
+/// bounds (each gather index is range-tested first), but the verdict is
+/// then unspecified.
+bool matching_is_clean(const index_t* links, const std::uint8_t* marks,
+                       index_t n) {
+  if (n == 0) return true;
+  std::uint32_t bad = 0;
+  index_t successors = 0;
+  for (index_t u = 0; u < n; ++u) {
+    const index_t s1 = links[u];
+    const index_t g1 = s1 < n ? s1 : u;
+    const index_t s2 = links[g1];  // out of range whenever s1 is
+    const std::uint32_t has2 = s2 < n;
+    const index_t g2 = has2 != 0 ? s2 : u;
+    const std::uint8_t mu = marks[u];
+    const std::uint8_t m1 = marks[g1];
+    const std::uint8_t m2 = marks[g2];
+    bad |= (static_cast<std::uint32_t>(mu != 0) &
+            static_cast<std::uint32_t>(m1 != 0)) |
+           (has2 & static_cast<std::uint32_t>((mu | m1 | m2) == 0));
+    successors ^= s1;
+  }
+  const index_t head = xor_through(n - 1) ^ successors ^ knil;
+  if (head >= n) return false;  // not a chain: let the report decide
+  const index_t s = links[head];
+  const index_t g = s < n ? s : head;
+  bad |= static_cast<std::uint32_t>(s < n) &
+         static_cast<std::uint32_t>((marks[head] | marks[g]) == 0);
+  return bad == 0;
+}
+
+}  // namespace
+
 CorruptionReport audit_matching(const std::vector<index_t>& links,
                                 const std::vector<std::uint8_t>& marks) {
   CorruptionReport report;
   const std::size_t n = links.size();
   report.n = n;
   LLMP_CHECK(marks.size() == n);
-  // Endpoint cover counts; a valid matching covers every node at most once.
+  LLMP_CHECK(n < static_cast<std::size_t>(knil));
+  if (matching_is_clean(links.data(), marks.data(), static_cast<index_t>(n)))
+    return report;
+  // The report builder, run only when the sweep found a defect. Endpoint
+  // cover counts; a valid matching covers every node at most once.
   std::vector<std::uint8_t> covered(n, 0);
   for (index_t v = 0; v < n; ++v) {
     if (marks[v] == 0) continue;

@@ -19,8 +19,20 @@
 // therefore depends only on llmp_support; list::LinkedList::validate is
 // implemented on top of audit_structure, not the other way around.
 //
-// Every audit walks its input once (O(n)), never throws, and returns a
-// CorruptionReport listing every finding in deterministic (node) order.
+// Every audit is O(n) and returns a CorruptionReport listing every
+// finding in deterministic (node) order. audit_structure accepts any
+// successor array shorter than knil; the other three audit derived state
+// over a *valid* chain (what audit_structure passes) and LLMP_CHECK —
+// throw check_error — that the second array has the chain's size, which
+// is why the Status forms in core/verify.cpp catch check_error.
+//
+// audit_matching, the check on every served answer, splits into a fast
+// verdict and a slow report. The verdict is one index-order sweep with no
+// branch on the marks and no allocation; a clean matching costs exactly
+// that. Only when the sweep finds a defect does the three-pass report
+// builder run to name it, so every report is the one the builder alone
+// would give. The sweep is exact on a valid chain. On any other successor
+// array it still reads only in bounds, but may call damaged marks clean.
 #pragma once
 
 #include <cstddef>
@@ -94,10 +106,11 @@ struct CorruptionReport {
 /// top of this), but reporting every defect instead of the first.
 CorruptionReport audit_structure(const std::vector<index_t>& links);
 
-/// Audit a tail-side matching bitmap over a *valid* chain: marks[v] == 1
+/// Audit a tail-side matching bitmap over a *valid* chain: marks[v] != 0
 /// chooses pointer <v, links[v]>. Detects marks beyond the tail or range,
-/// overlapping chosen pointers, and non-maximality. marks.size() must
-/// equal links.size().
+/// overlapping chosen pointers, and non-maximality. A clean bitmap costs
+/// one sweep and no allocation (see the header comment). Throws
+/// check_error unless marks.size() == links.size() < knil.
 CorruptionReport audit_matching(const std::vector<index_t>& links,
                                 const std::vector<std::uint8_t>& marks);
 

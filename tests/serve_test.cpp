@@ -21,6 +21,8 @@
 
 #include "llmp.h"
 #include "serve/queue.h"
+#include "stabilize/audit.h"
+#include "stabilize/inject.h"
 #include "support/alloc_counter.h"
 #include "support/failpoint.h"
 
@@ -652,6 +654,95 @@ TEST_F(ServeResilience, DegradesToSequentialAndKeepsServing) {
   for (auto& f : after) EXPECT_TRUE(f.get().ok());
   const ServiceStats st2 = svc.stats();
   EXPECT_EQ(st2.failed, 0u);
+}
+
+
+// ---- Checking damaged answers: verify and the audit policies. --------------
+//
+// stabilize.corrupt.match damages a result in the worker after the
+// algorithm ran. Under kOff, ServiceOptions::verify is the only check;
+// under kAudit and kRepair the audit is, and verify is skipped because it
+// would recheck the same predicate on the same arrays.
+
+TEST_F(ServeResilience, VerifyRejectsADamagedAnswerWhenAuditIsOff) {
+  const auto lst = make_list(1000);
+  Service svc({.workers = 1, .verify = true});
+  ASSERT_TRUE(
+      fp::arm_from_string("stabilize.corrupt.match=status(data_loss)").ok());
+  Result<MatchResult> r =
+      svc.submit({.list = &lst, .algorithm = "match4"}).get();
+  ASSERT_EQ(fp::counts("stabilize.corrupt.match").statuses, 1u);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedVerification);
+
+  // Replay the damage: the first request's id, 0, seeds break_matching.
+  Context ctx;
+  Options unchecked;
+  unchecked.verify = false;
+  std::vector<std::uint8_t> damaged =
+      run(ctx, "match4", lst, unchecked)->in_matching;
+  ASSERT_EQ(stabilize::break_matching(lst.next_array(), damaged, 0, 1), 1u);
+  const stabilize::CorruptionReport report =
+      stabilize::audit_matching(lst.next_array(), damaged);
+  ASSERT_NE(report.first(), nullptr);
+  EXPECT_EQ(r.status().message(), report.summary());
+  EXPECT_EQ(r.status().message().rfind(
+                "node " + std::to_string(report.first()->node) + ": ", 0),
+            0u);
+  EXPECT_EQ(svc.stats().audits_failed, 0u);
+}
+
+TEST_F(ServeResilience, AuditFailsDamagedAnswersWithVerifyOn) {
+  const auto lst = make_list(1000);
+  Service svc(
+      {.workers = 1, .verify = true, .audit = serve::AuditPolicy::kAudit});
+  ASSERT_TRUE(
+      fp::arm_from_string("stabilize.corrupt.match=status(data_loss):p=0.5")
+          .ok());
+  std::vector<std::future<Result<MatchResult>>> futs;
+  for (int k = 0; k < 32; ++k) futs.push_back(svc.submit({.list = &lst}));
+  std::uint64_t ok = 0, data_loss = 0;
+  for (auto& f : futs) {
+    const Result<MatchResult> r = f.get();
+    if (r.ok()) {
+      ++ok;
+    } else {
+      EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+      ++data_loss;
+    }
+  }
+  const std::uint64_t fired = fp::counts("stabilize.corrupt.match").statuses;
+  EXPECT_GT(fired, 0u);
+  EXPECT_LT(fired, 32u);
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.audits_failed, fired);
+  EXPECT_EQ(data_loss, fired);
+  EXPECT_EQ(ok, 32u - fired);
+  EXPECT_EQ(st.repairs, 0u);
+}
+
+TEST_F(ServeResilience, RepairHealsDamagedAnswersWithVerifyOn) {
+  const auto lst = make_list(1000);
+  Service svc(
+      {.workers = 1, .verify = true, .audit = serve::AuditPolicy::kRepair});
+  ASSERT_TRUE(
+      fp::arm_from_string("stabilize.corrupt.match=status(data_loss):p=0.5")
+          .ok());
+  std::vector<std::future<Result<MatchResult>>> futs;
+  for (int k = 0; k < 32; ++k) futs.push_back(svc.submit({.list = &lst}));
+  for (auto& f : futs) {
+    const Result<MatchResult> r = f.get();
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_NO_THROW(core::verify::check_matching(lst, r->in_matching));
+    EXPECT_NO_THROW(core::verify::check_maximal(lst, r->in_matching));
+    EXPECT_EQ(r->edges, core::verify::matching_size(r->in_matching));
+  }
+  const std::uint64_t fired = fp::counts("stabilize.corrupt.match").statuses;
+  EXPECT_GT(fired, 0u);
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.audits_failed, fired);
+  EXPECT_EQ(st.repairs, fired);
+  EXPECT_EQ(st.ok, 32u);
 }
 
 }  // namespace
