@@ -79,7 +79,7 @@ struct TreeStats {
 ///   subtree_size(v)          = (position(up_v) − position(down_v) + 1)/2.
 template <class Exec>
 TreeStats tree_statistics(Exec& exec, const Tree& tree,
-                          const PrefixOptions& opt = {}) {
+                          const ContractionOptions& opt = {}) {
   const std::size_t n = tree.size();
   TreeStats out;
   out.depth.assign(n, 0);

@@ -3,35 +3,34 @@
 // ranking papers, and the abstract's symmetry-breaking is exactly what a
 // deterministic ranking algorithm needs).
 //
-// rank[v] = number of nodes after v in list order (weighted variant: sum
-// of link weights from v to the tail).
+// rank[v] = number of nodes after v in list order.
 //
 // Two algorithms:
 //
 //   wyllie_ranking       — pointer jumping [16]: O(log n) steps, O(n log n)
 //                          work; the classic non-optimal baseline.
-//   contraction_ranking  — repeat: compute a maximal matching (any of
-//                          Match1–4), splice out every matched pointer's
-//                          head (the splices are node-disjoint because
-//                          matched pointers are), fold the spliced link's
-//                          weight into its tail, compact, recurse; expand
-//                          ranks in reverse. A maximal matching covers
-//                          ≥ (m)/3 of m pointers (one-of-three), so each
-//                          round removes ≥ 1/3 of the nodes-with-pointers
-//                          and O(log n) rounds suffice. With Match4 the
-//                          per-round work is O(n_cur), giving O(n) work
-//                          total up to the O(log n) additive terms —
-//                          the deterministic-coin-tossing route to
-//                          near-optimal ranking (full optimality needs
-//                          Anderson–Miller [1] load balancing, out of
-//                          scope; E12 quantifies the gap).
+//   contraction_ranking  — the matching-contraction kernel of
+//                          list_prefix.h over unit weights under +: each
+//                          round a maximal matching (any of Match1–4)
+//                          picks node-disjoint pointers whose heads are
+//                          spliced out, their weight folded into the
+//                          tail. The kernel's exclusive prefix is the
+//                          distance from the head, and the rank is
+//                          (n−1) minus it. One-of-three gives O(log n)
+//                          rounds; with Match4 the per-round work is
+//                          O(n_cur), so O(n) work in total up to the
+//                          O(log n) additive terms — the deterministic-
+//                          coin-tossing route to near-optimal ranking
+//                          (full optimality needs Anderson–Miller [1]
+//                          load balancing, out of scope; E12 quantifies
+//                          the gap).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "core/maximal_matching.h"
+#include "apps/list_prefix.h"
 #include "list/linked_list.h"
 #include "pram/arena.h"
 #include "pram/prefix.h"
@@ -157,11 +156,6 @@ RankingResult wyllie_ranking(Exec& exec, const list::LinkedList& list) {
   return r;
 }
 
-struct ContractionOptions {
-  core::Algorithm matcher = core::Algorithm::kMatch4;
-  int i_parameter = 3;
-};
-
 /// Matching-contraction ranking (see header comment).
 template <class Exec>
 RankingResult contraction_ranking(Exec& exec, const list::LinkedList& list,
@@ -170,112 +164,15 @@ RankingResult contraction_ranking(Exec& exec, const list::LinkedList& list,
   const std::size_t n = list.size();
   const pram::Stats start = exec.stats();
 
-  // Working copy in *original* node ids; each round also keeps a dense
-  // LinkedList of the alive nodes for the matcher.
-  auto nxt_h = pram::scratch<index_t>(exec, n);
-  std::vector<index_t>& nxt = *nxt_h;
-  std::copy(list.next_array().begin(), list.next_array().end(), nxt.begin());
   auto dist_h = pram::scratch<std::uint64_t>(exec, n);
   std::vector<std::uint64_t>& dist = *dist_h;
   exec.step(n, [&](std::size_t v, auto&& m) {
     m.wr(dist, v, std::uint64_t{1});
   });
-
-  // One expansion record per spliced-out node. Internally we rank by
-  // *distance from the head* (h), because the head is never a matched
-  // pointer's head node and thus survives every round; the public
-  // distance-to-tail rank is (n−1) − h at the end.
-  struct Splice {
-    index_t node;    // the removed node s (original id)
-    index_t anchor;  // the matched tail v that absorbed s
-    std::uint64_t d; // dist[v] at splice time: h(s) = h(v) + d
-  };
-  std::vector<std::vector<Splice>> rounds_log;
-
-  std::vector<index_t> alive;  // original ids, in current dense order
-  alive.reserve(n);
-  for (index_t v = 0; v < n; ++v) alive.push_back(v);
-
-  while (alive.size() > 1) {
-    const std::size_t m_cur = alive.size();
-    // Dense view: position of each alive node, dense next array.
-    auto pos_h = pram::scratch<index_t>(exec, n, knil);
-    std::vector<index_t>& pos = *pos_h;
-    exec.step(m_cur, [&](std::size_t d_id, auto&& mm) {
-      mm.wr(pos, static_cast<std::size_t>(alive[d_id]),
-            static_cast<index_t>(d_id));
-    });
-    std::vector<index_t> dense_next(m_cur);
-    exec.step(m_cur, [&](std::size_t d_id, auto&& mm) {
-      const index_t s = mm.rd(nxt, static_cast<std::size_t>(alive[d_id]));
-      mm.wr(dense_next, d_id,
-            s == knil ? knil : mm.rd(pos, static_cast<std::size_t>(s)));
-    });
-    list::LinkedList cur(std::move(dense_next));
-
-    core::MatchOptions mopt;
-    mopt.algorithm = opt.matcher;
-    mopt.i_parameter = opt.i_parameter;
-    const core::MatchResult match = core::maximal_matching(exec, cur, mopt);
-
-    // Splice matched heads out (in original-id space).
-    auto removed_h = pram::scratch<std::uint8_t>(exec, n);
-    auto log_entries_h = pram::scratch<Splice>(exec, m_cur);
-    auto has_entry_h = pram::scratch<std::uint8_t>(exec, m_cur);
-    std::vector<std::uint8_t>& removed = *removed_h;
-    std::vector<Splice>& log_entries = *log_entries_h;
-    std::vector<std::uint8_t>& has_entry = *has_entry_h;
-    exec.step(m_cur, [&](std::size_t d_id, auto&& mm) {
-      if (!match.in_matching[d_id]) return;
-      const index_t v = alive[d_id];
-      const index_t s = mm.rd(nxt, static_cast<std::size_t>(v));
-      LLMP_DCHECK(s != knil);
-      const index_t s_next = mm.rd(nxt, static_cast<std::size_t>(s));
-      const std::uint64_t vd = mm.rd(dist, static_cast<std::size_t>(v));
-      const std::uint64_t sd = mm.rd(dist, static_cast<std::size_t>(s));
-      mm.wr(log_entries, d_id, Splice{s, v, vd});
-      mm.wr(has_entry, d_id, std::uint8_t{1});
-      mm.wr(removed, static_cast<std::size_t>(s), std::uint8_t{1});
-      mm.wr(nxt, static_cast<std::size_t>(v), s_next);
-      mm.wr(dist, static_cast<std::size_t>(v), vd + sd);
-    });
-
-    std::vector<Splice> round_log;
-    round_log.reserve(match.edges);
-    for (std::size_t d_id = 0; d_id < m_cur; ++d_id)
-      if (has_entry[d_id]) round_log.push_back(log_entries[d_id]);
-    rounds_log.push_back(std::move(round_log));
-
-    std::vector<index_t> next_alive;
-    next_alive.reserve(m_cur - match.edges);
-    for (index_t v : alive)
-      if (!removed[v]) next_alive.push_back(v);
-    alive.swap(next_alive);
-    ++result.rounds;
-    LLMP_CHECK_MSG(alive.size() < m_cur, "contraction made no progress");
-  }
-
-  // Base: the single survivor is the original head (only pointer *heads*
-  // are ever removed, and the list head is nobody's pointer head), so its
-  // head-distance is 0.
-  LLMP_CHECK(alive.front() == list.head());
   auto h_h = pram::scratch<std::uint64_t>(exec, n);
-  std::vector<std::uint64_t>& h = *h_h;
+  std::vector<std::uint64_t>& h = *h_h;  // distance from the head
+  result.rounds = detail::contract<SumMonoid>(exec, list, dist, h, opt);
 
-  // Expand in reverse: h[s] = h[anchor] + dist[anchor]-at-splice. The
-  // anchor is alive when s is expanded (it survived this round; if a
-  // later round removed it, that round's expansion already ran).
-  for (auto it = rounds_log.rbegin(); it != rounds_log.rend(); ++it) {
-    const std::vector<Splice>& entries = *it;
-    exec.step(entries.size(), [&](std::size_t e, auto&& mm) {
-      const Splice sp = entries[e];
-      const std::uint64_t base =
-          mm.rd(h, static_cast<std::size_t>(sp.anchor));
-      mm.wr(h, static_cast<std::size_t>(sp.node), base + sp.d);
-    });
-  }
-
-  // Convert head-distance to the public distance-to-tail rank.
   result.rank.assign(n, 0);
   const std::uint64_t total = static_cast<std::uint64_t>(n) - 1;
   exec.step(n, [&](std::size_t v, auto&& mm) {

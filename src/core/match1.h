@@ -62,7 +62,7 @@ void match1_into(Exec& exec, const list::LinkedList& list,
       opt.erew ? reduce_to_constant_erew(exec, list, pred, labels, opt.rule)
                : reduce_to_constant(exec, list, labels, opt.rule,
                                     /*labels_are_addresses=*/true);
-  r.partition_sets = distinct_labels(exec, labels);
+  r.partition_sets = distinct_labels(labels);
   phase("reduce");
 
   r.cut = opt.erew

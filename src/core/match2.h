@@ -120,7 +120,7 @@ void match2_into(Exec& exec, const list::LinkedList& list,
     }
   }
   r.relabel_rounds = opt.partition_rounds;
-  r.partition_sets = distinct_labels(exec, labels);
+  r.partition_sets = distinct_labels(labels);
   phase("partition");
 
   // Step 2: global sort of pointers by set number, into arena-leased

@@ -146,7 +146,7 @@ void match3_into(Exec& exec, const list::LinkedList& list,
                   plan.gather_rounds);
     lookup_labels(exec, table, labels);
   }
-  r.partition_sets = distinct_labels(exec, labels);
+  r.partition_sets = distinct_labels(labels);
   phase("gather+lookup");
 
   // Steps 5–6 = Match1 steps 3–4.

@@ -147,7 +147,7 @@ void match4_into(Exec& exec, const list::LinkedList& list,
   } else {
     bound = 1;
   }
-  r.partition_sets = distinct_labels(exec, labels);
+  r.partition_sets = distinct_labels(labels);
   phase("partition");
 
   // ---- Step 2: 2D layout, per-column sequential sorts. -------------------

@@ -1,6 +1,7 @@
 #include "core/partition_fn.h"
 
 #include <algorithm>
+#include <array>
 
 #include "support/itlog.h"
 
@@ -14,10 +15,20 @@ label_t partition_bound_after(label_t input_bound) {
 }
 
 std::size_t distinct_labels(const std::vector<label_t>& labels) {
-  std::vector<label_t> sorted(labels);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  return sorted.size();
+  constexpr label_t kPresenceBound = 128;
+  std::array<std::uint8_t, kPresenceBound> seen{};
+  for (const label_t l : labels) {
+    if (l >= kPresenceBound) {
+      std::vector<label_t> sorted(labels);
+      std::sort(sorted.begin(), sorted.end());
+      return static_cast<std::size_t>(
+          std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+    }
+    seen[l] = 1;
+  }
+  std::size_t distinct = 0;
+  for (const std::uint8_t b : seen) distinct += b;
+  return distinct;
 }
 
 }  // namespace llmp::core

@@ -358,20 +358,12 @@ int reduce_to_constant_erew(Exec& exec, const list::LinkedList& list,
 }
 
 /// Number of distinct values among labels[v] for all n circular pointers.
+/// Every label a registry matcher counts is below 128: one relabel round
+/// leaves f = 2k + a_k with k <= 63, and a list short enough to skip the
+/// rounds has fewer addresses than that. So one pass over a 128-byte
+/// presence array on the stack counts them, with no allocation. A larger
+/// label (the addresses of a longer list before any round, or a hand-made
+/// input) is counted by sorting a copy instead.
 std::size_t distinct_labels(const std::vector<label_t>& labels);
-
-/// Arena-aware overload: sorts a pooled copy, so warm Context runs do not
-/// allocate for the audit. Host-side (no PRAM steps), like the above.
-template <class Exec>
-std::size_t distinct_labels(Exec& exec, const std::vector<label_t>& labels) {
-  auto copy_h = pram::scratch<label_t>(exec, labels.size());
-  std::vector<label_t>& copy = *copy_h;
-  std::copy(labels.begin(), labels.end(), copy.begin());
-  std::sort(copy.begin(), copy.end());
-  std::size_t distinct = 0;
-  for (std::size_t i = 0; i < copy.size(); ++i)
-    distinct += (i == 0 || copy[i] != copy[i - 1]);
-  return distinct;
-}
 
 }  // namespace llmp::core

@@ -6,55 +6,34 @@
 
 namespace llmp::list {
 
-Status LinkedList::structure(const std::vector<index_t>& next, index_t* head,
-                             index_t* tail) {
-  // The integrity auditor is the one structure predicate in the tree;
-  // its report names the first divergent node and what is wrong with it
-  // (stabilize/audit.h) instead of a bare "invalid list".
-  const stabilize::CorruptionReport report = stabilize::audit_structure(next);
-  if (!report.clean()) {
-    return Status::invalid_argument("invalid successor array — " +
-                                    report.summary());
-  }
-  // Clean: exactly one tail (the knil successor) and one head (the one
-  // node with no predecessor).
-  const std::size_t n = next.size();
-  std::vector<std::uint8_t> indeg(n, 0);
-  index_t the_tail = knil;
-  for (index_t v = 0; v < n; ++v) {
-    LLMP_DCHECK(v < next.size());
-    const index_t s = next[v];
-    if (s == knil) {
-      the_tail = v;
-    } else {
-      indeg[s] = 1;
-    }
-  }
-  index_t the_head = knil;
-  for (index_t v = 0; v < n; ++v) {
-    if (indeg[v] == 0) the_head = v;
-  }
-  if (head != nullptr) *head = the_head;
-  if (tail != nullptr) *tail = the_tail;
-  return {};
+Status LinkedList::structure(const std::vector<index_t>& next, index_t& head,
+                             index_t& tail) {
+  // One allocation-free walk accepts a chain and finds its ends. Only a
+  // rejected array goes to the integrity auditor, whose report names the
+  // first divergent node and what is wrong with it (stabilize/audit.h)
+  // instead of a bare "invalid list".
+  if (stabilize::chain_is_clean(next, head, tail)) return {};
+  return Status::invalid_argument("invalid successor array — " +
+                                  stabilize::audit_structure(next).summary());
 }
 
 LinkedList::LinkedList(std::vector<index_t> next)
     : storage_(std::move(next)) {
-  const Status s = structure(storage_.next_array(), &head_, &tail_);
+  const Status s = structure(storage_.next_array(), head_, tail_);
   LLMP_CHECK_MSG(s.ok(), s.message());
 }
 
 Result<LinkedList> LinkedList::make(std::vector<index_t> next) {
   LinkedList l;
-  if (Status s = structure(next, &l.head_, &l.tail_); !s.ok())
+  if (Status s = structure(next, l.head_, l.tail_); !s.ok())
     return s;
   l.storage_ = FlatStorage(std::move(next));
   return l;
 }
 
 Status LinkedList::validate(const std::vector<index_t>& next) {
-  return structure(next, nullptr, nullptr);
+  index_t head = knil, tail = knil;
+  return structure(next, head, tail);
 }
 
 LinkedList LinkedList::identity(std::size_t n) {

@@ -76,10 +76,10 @@ class LinkedList {
  private:
   LinkedList() = default;
 
-  /// The one structure walk behind the constructor, validate() and
-  /// make(): fills *head/*tail when non-null.
-  static Status structure(const std::vector<index_t>& next, index_t* head,
-                          index_t* tail);
+  /// The structure check behind the constructor, validate() and make():
+  /// one walk decides, and fills head/tail when it accepts.
+  static Status structure(const std::vector<index_t>& next, index_t& head,
+                          index_t& tail);
 
   FlatStorage storage_;
   index_t head_ = knil;

@@ -194,10 +194,12 @@ class RequestBuilder {
 /// Run the registry algorithm `name` ("match4", "match2-erew",
 /// "sequential", …) on `list`. User-input problems come back as a Status
 /// (kNotFound, kInvalidArgument), verification failures as
-/// kFailedVerification; this never aborts on bad input.
+/// kFailedVerification; this never aborts on bad input. ctx.phases()
+/// afterwards holds this run's phases only.
 inline Result<core::MatchResult> run(Context& ctx, std::string_view name,
                                      const list::LinkedList& list,
                                      const Options& options = {}) {
+  ctx.pram_context().clear_phases();  // keep the metrics sink bounded
   Result<core::MatchOptions> resolved = core::resolve_algorithm(name);
   if (!resolved.ok()) return resolved.status();
   core::MatchOptions opt = resolved.value();

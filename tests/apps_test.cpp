@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "apps/independent_set.h"
 #include "apps/list_ranking.h"
@@ -11,6 +12,7 @@
 #include "core/verify.h"
 #include "list/generators.h"
 #include "pram/executor.h"
+#include "pram/thread_pool.h"
 
 namespace llmp {
 namespace {
@@ -98,6 +100,48 @@ TEST(Apps, ContractionRoundsAreLogarithmic) {
                              std::log2(1.5) +
                          2;
     EXPECT_LE(r.rounds, static_cast<int>(bound)) << "n=" << n;
+  }
+}
+
+// Rounds and counted cost of contraction ranking at fixed (n, seed),
+// as the separate ranking skeleton counted them before it became a
+// reduction over the shared contraction kernel. time_p is for SeqExec(16)
+// and ParallelExec(64); depth and work do not depend on p.
+struct RankingCostPin {
+  std::size_t n;
+  std::uint64_t seed;
+  int rounds;
+  std::uint64_t depth, time_p_seq16, time_p_par64, work;
+};
+constexpr RankingCostPin kRankingCost[] = {
+    {1, 1, 0, 2, 2, 2, 2},
+    {2, 3, 1, 24, 33, 33, 53},
+    {7, 5, 3, 86, 125, 125, 352},
+    {1000, 7, 12, 410, 3924, 1298, 56975},
+    {4097, 11, 15, 524, 15030, 4176, 233448},
+    {65536, 1, 20, 724, 234018, 58975, 3736437},
+};
+
+TEST(Apps, ContractionRankingCountedCostIsPinned) {
+  pram::ThreadPool pool(2);
+  for (const RankingCostPin& pin : kRankingCost) {
+    const auto list = list::generators::random_list(pin.n, pin.seed);
+    const auto oracle = apps::sequential_ranking(list);
+    pram::SeqExec seq(16);
+    pram::ParallelExec par(64, pool, /*threshold=*/256);
+    const apps::RankingResult runs[] = {apps::contraction_ranking(seq, list),
+                                        apps::contraction_ranking(par, list)};
+    const std::uint64_t time_p[] = {pin.time_p_seq16, pin.time_p_par64};
+    for (int e = 0; e < 2; ++e) {
+      const apps::RankingResult& r = runs[e];
+      const std::string what =
+          std::string(e == 0 ? "seq" : "par") + " n=" + std::to_string(pin.n);
+      EXPECT_EQ(r.rank, oracle) << what;
+      EXPECT_EQ(r.rounds, pin.rounds) << what;
+      EXPECT_EQ(r.cost.depth, pin.depth) << what;
+      EXPECT_EQ(r.cost.time_p, time_p[e]) << what;
+      EXPECT_EQ(r.cost.work, pin.work) << what;
+    }
   }
 }
 

@@ -417,7 +417,11 @@ TEST_F(Chaos, DisarmedFailpointsPreserveZeroSteadyStateAllocations) {
     lists.push_back(list::generators::random_list(2000, s));
 
   Service svc({.workers = 2});
-  ASSERT_EQ(hammer(svc, lists, 48, 2), 48u);  // warm every worker
+  // Warm every worker on every list × algorithm pair: a worker's first
+  // run of an algorithm leases cold scratch. Each client sends each of
+  // the 15 pairs 16 times; with 48 requests in all, one worker went
+  // without some pair in a few percent of runs, more under load.
+  ASSERT_EQ(hammer(svc, lists, 480, 2), 480u);
   svc.reset_stats();
   ASSERT_EQ(hammer(svc, lists, 40, 2), 40u);
   const ServiceStats st = svc.stats();

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "apps/list_ranking.h"
 #include "list/generators.h"
 #include "pram/executor.h"
 #include "pram/machine.h"
+#include "pram/thread_pool.h"
 #include "support/rng.h"
 
 namespace llmp::apps {
@@ -83,7 +85,7 @@ TEST(ListPrefix, EveryMatcherWorks) {
   for (auto alg : {core::Algorithm::kMatch1, core::Algorithm::kMatch2,
                    core::Algorithm::kMatch3, core::Algorithm::kMatch4}) {
     pram::SeqExec exec(32);
-    PrefixOptions opt;
+    ContractionOptions opt;
     opt.matcher = alg;
     EXPECT_EQ((list_prefix<SumMonoid>(exec, lst, values, opt).prefix),
               oracle)
@@ -98,6 +100,66 @@ TEST(ListPrefix, CrewLegalOnTheMachine) {
   pram::Machine m(pram::Mode::kCREW, 8);
   const auto r = list_prefix<SumMonoid>(m, lst, values);
   EXPECT_EQ(r.prefix, sequential_prefix<SumMonoid>(lst, values));
+}
+
+// Rounds and counted cost of list prefix at fixed (n, seed), as the
+// separate prefix skeleton counted them before ranking and prefix shared
+// one contraction kernel. The monoid does not enter the cost. time_p is
+// for SeqExec(16) and ParallelExec(64); depth and work do not depend on p.
+struct PrefixCostPin {
+  std::size_t n;
+  std::uint64_t seed;
+  int rounds;
+  std::uint64_t depth, time_p_seq16, time_p_par64, work;
+};
+constexpr PrefixCostPin kPrefixCost[] = {
+    {1, 1, 0, 1, 1, 1, 1},
+    {2, 3, 1, 23, 32, 32, 51},
+    {7, 5, 3, 85, 124, 124, 345},
+    {1000, 7, 12, 409, 3861, 1282, 55975},
+    {4097, 11, 15, 523, 14773, 4111, 229351},
+    {65536, 1, 20, 723, 229922, 57951, 3670901},
+};
+
+template <class Monoid, class Exec>
+void expect_pinned_prefix(
+    Exec& exec, const list::LinkedList& lst,
+    const std::vector<typename Monoid::value_type>& values,
+    const PrefixCostPin& pin, std::uint64_t time_p, const std::string& what) {
+  const auto r = list_prefix<Monoid>(exec, lst, values);
+  EXPECT_TRUE(r.prefix == sequential_prefix<Monoid>(lst, values)) << what;
+  EXPECT_EQ(r.rounds, pin.rounds) << what;
+  EXPECT_EQ(r.cost.depth, pin.depth) << what;
+  EXPECT_EQ(r.cost.time_p, time_p) << what;
+  EXPECT_EQ(r.cost.work, pin.work) << what;
+}
+
+TEST(ListPrefix, CountedCostIsPinnedForEveryMonoid) {
+  pram::ThreadPool pool(2);
+  for (const PrefixCostPin& pin : kPrefixCost) {
+    const auto lst = list::generators::random_list(pin.n, pin.seed);
+    rng::Xoshiro256 gen(pin.seed);
+    std::vector<std::uint64_t> sums(pin.n), maxes(pin.n);
+    std::vector<AffineMonoid::Affine> maps(pin.n);
+    for (auto& v : sums) v = gen.below(1000);
+    for (auto& v : maxes) v = gen.next();
+    for (auto& v : maps) v = {gen.next() | 1, gen.next()};
+    pram::SeqExec seq(16);
+    pram::ParallelExec par(64, pool, /*threshold=*/256);
+    const std::string n = " n=" + std::to_string(pin.n);
+    expect_pinned_prefix<SumMonoid>(seq, lst, sums, pin, pin.time_p_seq16,
+                                    "seq sum" + n);
+    expect_pinned_prefix<SumMonoid>(par, lst, sums, pin, pin.time_p_par64,
+                                    "par sum" + n);
+    expect_pinned_prefix<MaxMonoid>(seq, lst, maxes, pin, pin.time_p_seq16,
+                                    "seq max" + n);
+    expect_pinned_prefix<MaxMonoid>(par, lst, maxes, pin, pin.time_p_par64,
+                                    "par max" + n);
+    expect_pinned_prefix<AffineMonoid>(seq, lst, maps, pin,
+                                       pin.time_p_seq16, "seq affine" + n);
+    expect_pinned_prefix<AffineMonoid>(par, lst, maps, pin,
+                                       pin.time_p_par64, "par affine" + n);
+  }
 }
 
 TEST(ListPrefix, WorkIsLinearInN) {

@@ -6,8 +6,11 @@
 
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "list/generators.h"
+#include "stabilize/audit.h"
 #include "support/check.h"
 
 namespace llmp::list {
@@ -61,6 +64,85 @@ TEST(LinkedList, RejectsMalformedInputs) {
   EXPECT_THROW(LinkedList(V{2, 2, knil}), check_error);       // two preds
   // Chain + disjoint cycle: 0→1 tail, 2→3→2 cycle.
   EXPECT_THROW(LinkedList(V{1, knil, 3, 2}), check_error);
+}
+
+/// The integrity auditor's reading of a successor array: its report's
+/// verdict and, for a clean array, the ends found the long way (the tail
+/// is the one knil successor, the head the one node with no predecessor).
+struct AuditorReading {
+  bool clean = false;
+  index_t head = knil;
+  index_t tail = knil;
+};
+
+AuditorReading read_by_auditor(const std::vector<index_t>& next) {
+  AuditorReading r;
+  r.clean = stabilize::audit_structure(next).clean();
+  if (!r.clean) return r;
+  std::vector<bool> has_pred(next.size(), false);
+  for (index_t v = 0; v < next.size(); ++v) {
+    if (next[v] == knil) {
+      r.tail = v;
+    } else {
+      has_pred[next[v]] = true;
+    }
+  }
+  for (index_t v = 0; v < next.size(); ++v)
+    if (!has_pred[v]) r.head = v;
+  return r;
+}
+
+std::string show(const std::vector<index_t>& next) {
+  std::string s = "{";
+  for (const index_t x : next)
+    s += (x == knil ? std::string("nil") : std::to_string(x)) + " ";
+  return s + "}";
+}
+
+TEST(LinkedList, OneWalkVerdictMatchesTheAuditorExhaustively) {
+  // Every successor array with n <= 6 and entries in {0..n, knil}: each
+  // in range, one past it, or nil.
+  std::size_t chains = 0;
+  for (std::size_t n = 0; n <= 6; ++n) {
+    const std::size_t digits = n + 2;
+    std::size_t arrays = 1;
+    for (std::size_t i = 0; i < n; ++i) arrays *= digits;
+    std::vector<index_t> next(n);
+    for (std::size_t code = 0; code < arrays; ++code) {
+      std::size_t c = code;
+      for (std::size_t i = 0; i < n; ++i, c /= digits)
+        next[i] = c % digits <= n ? static_cast<index_t>(c % digits) : knil;
+      const AuditorReading want = read_by_auditor(next);
+      const Result<LinkedList> got = LinkedList::make(next);
+      ASSERT_EQ(got.ok(), want.clean) << show(next);
+      ASSERT_EQ(LinkedList::validate(next).ok(), want.clean) << show(next);
+      if (got.ok()) {
+        ++chains;
+        ASSERT_EQ(got->head(), want.head) << show(next);
+        ASSERT_EQ(got->tail(), want.tail) << show(next);
+      } else {
+        ASSERT_EQ(got.status().message(),
+                  "invalid successor array — " +
+                      stabilize::audit_structure(next).summary())
+            << show(next);
+      }
+    }
+  }
+  EXPECT_EQ(chains, 1u + 2 + 6 + 24 + 120 + 720);  // n! chains of n nodes
+}
+
+TEST(LinkedList, OneWalkVerdictLeavesEndsAloneOnRejection) {
+  index_t head = 7, tail = 9;
+  for (const std::vector<index_t>& bad :
+       {std::vector<index_t>{}, {1, 0}, {knil, knil}, {2, knil},
+        {1, knil, 3, 2}}) {
+    EXPECT_FALSE(stabilize::chain_is_clean(bad, head, tail)) << show(bad);
+    EXPECT_EQ(head, 7u);
+    EXPECT_EQ(tail, 9u);
+  }
+  EXPECT_TRUE(stabilize::chain_is_clean({2, knil, 1}, head, tail));
+  EXPECT_EQ(head, 0u);
+  EXPECT_EQ(tail, 1u);
 }
 
 class GeneratorSizes : public ::testing::TestWithParam<std::size_t> {};

@@ -1,17 +1,29 @@
 // Property tests for the matching partition functions — Lemma 1 (f
 // partitions n pointers into 2 log n matching sets), Lemma 2 (f^(k) yields
 // 2·log^(k-1) n·(1+o(1)) sets), and the defining matching-partition
-// property itself, for both bit rules.
+// property itself, for both bit rules. Also pins every registry matcher's
+// partition_sets, on every backend, to a std::set count of its labels.
 #include "core/partition_fn.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <set>
+#include <string>
 
+#include "core/gather.h"
+#include "core/match2.h"
+#include "core/match3.h"
+#include "core/match4.h"
+#include "core/registry.h"
 #include "core/verify.h"
 #include "list/generators.h"
+#include "pram/context.h"
 #include "pram/executor.h"
+#include "pram/machine.h"
+#include "pram/simd.h"
+#include "pram/sweep.h"
 #include "support/itlog.h"
 #include "support/rng.h"
 
@@ -182,6 +194,154 @@ TEST(PartitionFn, ForwardPointersCrossingOneLineHaveDisjointEndpoints) {
     for (index_t v : tails) {
       EXPECT_TRUE(touched.insert(v).second) << "value " << value;
       EXPECT_TRUE(touched.insert(list.next(v)).second) << "value " << value;
+    }
+  }
+}
+
+TEST(PartitionFn, DistinctLabelsCountsAnyInput) {
+  // Labels below 128 take the presence pass, any other input the sort;
+  // both must agree with std::set on either side of the line.
+  rng::Xoshiro256 gen(12);
+  for (const label_t range : {label_t{6}, label_t{128}, label_t{129},
+                              label_t{1000}, label_t{1} << 40}) {
+    for (const std::size_t n : {0u, 1u, 7u, 128u, 500u}) {
+      std::vector<label_t> labels(n);
+      for (label_t& l : labels) l = gen.below(range);
+      const std::size_t want =
+          std::set<label_t>(labels.begin(), labels.end()).size();
+      EXPECT_EQ(distinct_labels(labels), want) << range << " " << n;
+    }
+  }
+  std::vector<label_t> addresses(1000);
+  std::iota(addresses.begin(), addresses.end(), label_t{0});
+  EXPECT_EQ(distinct_labels(addresses), 1000u);
+}
+
+// ---- partition_sets on every registry matcher and backend. ---------------
+
+/// The labels a registry matcher counts as partition_sets, recomputed
+/// from the public building blocks with fusion off.
+std::vector<label_t> counted_labels(const list::LinkedList& list,
+                                    const MatchOptions& opt) {
+  const pram::SweepTuning saved = pram::tuning();
+  pram::tuning().fused = false;
+  const std::size_t n = list.size();
+  pram::SeqExec exec(64);
+  std::vector<label_t> labels;
+  init_address_labels(exec, n, labels);
+  auto crunch_then_probe = [&](int crunch, int bits, int width, int gather) {
+    relabel_rounds(exec, list, labels, crunch, opt.rule);
+    const MatchingLookupTable& table =
+        cached_lookup_table(bits, 1 << gather, opt.rule, width);
+    gather_labels(exec, list, labels, bits, gather);
+    lookup_labels(exec, table, labels);
+  };
+  if (n > 1) {
+    switch (opt.algorithm) {
+      case Algorithm::kMatch1:
+        reduce_to_constant(exec, list, labels, opt.rule);
+        break;
+      case Algorithm::kMatch2:
+        relabel_rounds(exec, list, labels, Match2Options{}.partition_rounds,
+                       opt.rule);
+        break;
+      case Algorithm::kMatch3: {
+        const Match3Plan plan = plan_match3(n, Match3Options{.rule = opt.rule});
+        if (plan.needs_table) {
+          crunch_then_probe(plan.crunch_rounds, plan.component_bits,
+                            plan.collapse_width, plan.gather_rounds);
+        } else {
+          relabel_rounds(exec, list, labels, plan.crunch_rounds, opt.rule);
+        }
+        break;
+      }
+      case Algorithm::kMatch4: {
+        Match4Options o;
+        o.i_parameter = opt.i_parameter;
+        o.partition_with_table = opt.partition_with_table && !opt.erew;
+        o.rule = opt.rule;
+        const Match4Plan plan = plan_match4(n, o);
+        if (plan.uses_table) {
+          crunch_then_probe(plan.crunch_rounds, plan.component_bits,
+                            plan.collapse_width, plan.gather_rounds);
+        } else {
+          relabel_rounds(exec, list, labels, opt.i_parameter, opt.rule);
+        }
+        break;
+      }
+      default:
+        ADD_FAILURE() << "no partition step: " << to_string(opt.algorithm);
+    }
+  }
+  pram::tuning() = saved;
+  return labels;
+}
+
+enum class Backend { kFused, kFusedScalar, kLegacy, kMachine };
+
+const char* to_string(Backend b) {
+  switch (b) {
+    case Backend::kFused: return "fused";
+    case Backend::kFusedScalar: return "fused-scalar";
+    case Backend::kLegacy: return "legacy";
+    case Backend::kMachine: return "machine";
+  }
+  return "?";
+}
+
+std::size_t partition_sets_on(Backend backend, const AlgorithmEntry& entry,
+                              const list::LinkedList& list) {
+  const pram::SweepTuning saved = pram::tuning();
+  const pram::simd::Level level = pram::simd::active_level();
+  pram::tuning().fused = backend != Backend::kLegacy;
+  if (backend == Backend::kFusedScalar)
+    pram::simd::set_level(pram::simd::Level::kScalar);
+  MatchResult out;
+  const MatchDispatcher& dispatch =
+      AlgorithmRegistry::instance().match_dispatcher();
+  if (backend == Backend::kMachine) {
+    pram::Machine machine(entry.declared, 64);
+    pram::Context ctx(machine);
+    dispatch.run(ctx, list, entry.canonical, out);
+  } else {
+    pram::SeqExec seq(64);
+    pram::Context ctx(seq);
+    dispatch.run(ctx, list, entry.canonical, out);
+  }
+  pram::tuning() = saved;
+  pram::simd::set_level(level);
+  return out.partition_sets;
+}
+
+TEST(PartitionFn, PartitionSetsCountTheLabelsOnEveryBackend) {
+  auto stride_for = [](std::size_t n) {
+    std::size_t s = 7;
+    while (std::gcd(s, n) != 1) s += 2;
+    return s;
+  };
+  for (const AlgorithmEntry* entry : AlgorithmRegistry::instance().entries()) {
+    const Algorithm a = entry->canonical.algorithm;
+    if (!entry->matching || a == Algorithm::kSequential ||
+        a == Algorithm::kRandomized)
+      continue;
+    for (const std::size_t n : {1u, 2u, 3u, 5u, 6u, 7u, 1023u, 1024u, 1025u,
+                                65536u}) {
+      const std::pair<const char*, list::LinkedList> shapes[] = {
+          {"random", list::generators::random_list(n, n + 3)},
+          {"identity", list::generators::identity_list(n)},
+          {"reverse", list::generators::reverse_list(n)},
+          {"strided", list::generators::strided_list(n, stride_for(n))}};
+      for (const auto& [shape, lst] : shapes) {
+        const std::vector<label_t> labels =
+            counted_labels(lst, entry->canonical);
+        const std::size_t want =
+            std::set<label_t>(labels.begin(), labels.end()).size();
+        for (const Backend b : {Backend::kFused, Backend::kFusedScalar,
+                                Backend::kLegacy, Backend::kMachine})
+          EXPECT_EQ(partition_sets_on(b, *entry, lst), want)
+              << entry->name << " " << shape << " n=" << n << " "
+              << to_string(b);
+      }
     }
   }
 }

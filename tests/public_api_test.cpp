@@ -203,6 +203,18 @@ TEST(Facade, OptionOverridesApplyOnTopOfCanonical) {
   ASSERT_TRUE(erew.ok());
 }
 
+TEST(Facade, PhasesHoldTheLastRunOnly) {
+  // The Context's phase sink must not grow with the number of runs.
+  llmp::Context ctx;
+  const auto lst = list::generators::random_list(64, 5);
+  ASSERT_TRUE(llmp::run(ctx, "match4", lst).ok());
+  const std::size_t one_run = ctx.phases().size();
+  EXPECT_GT(one_run, 0u);
+  for (int i = 0; i < 10000; ++i)
+    ASSERT_TRUE(llmp::run(ctx, "match4", lst).ok());
+  EXPECT_EQ(ctx.phases().size(), one_run);
+}
+
 TEST(Facade, ErrorsComeBackAsStatus) {
   llmp::Context ctx;
   const auto lst = list::generators::random_list(100, 5);
