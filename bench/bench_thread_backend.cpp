@@ -2,7 +2,10 @@
 // chunk-contiguous sweeps + software prefetch + SIMD label crunching +
 // adaptive parallel threshold (pram/sweep.h and friends) against the
 // legacy per-element dispatch, on the hot parallel workloads — Match1–4
-// and both list rankings.
+// and both list rankings — with the sequential matching and the
+// sequential ranking as the yardstick rows: their "fused ms" says whether
+// any PRAM algorithm beats the O(n) walk on the host (neither walk has a
+// legacy path, so their vs_legacy is noise around 1).
 //
 // "Legacy" here is the same binary with the fast paths switched off
 // (pram::tuning().fused = false) and the threshold pinned at the
@@ -80,6 +83,14 @@ AlgoRun run_contraction(pram::Context<pram::ParallelExec>& ctx,
   return {r.cost, {}, rank_checksum(r.rank), 0};
 }
 
+/// Counted like the sequential matching: one visit per node, T1 = n.
+AlgoRun run_sequential_ranking(pram::Context<pram::ParallelExec>&,
+                               const list::LinkedList& list) {
+  const std::uint64_t n = list.size();
+  return {{n, n, n, 0, 0}, {}, rank_checksum(apps::sequential_ranking(list)),
+          0};
+}
+
 constexpr Workload kWorkloads[] = {
     {"match1", &run_matching<core::Algorithm::kMatch1>},
     {"match2", &run_matching<core::Algorithm::kMatch2>},
@@ -87,6 +98,8 @@ constexpr Workload kWorkloads[] = {
     {"match4", &run_matching<core::Algorithm::kMatch4>},
     {"wyllie", &run_wyllie},
     {"contraction", &run_contraction},
+    {"sequential", &run_matching<core::Algorithm::kSequential>},
+    {"rank-sequential", &run_sequential_ranking},
 };
 
 /// Best-of-`reps` timed runs of one workload through a warm context.

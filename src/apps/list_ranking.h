@@ -182,7 +182,9 @@ RankingResult contraction_ranking(Exec& exec, const list::LinkedList& list,
   return result;
 }
 
-/// Sequential oracle: ranks by one backward accumulation.
+/// Sequential oracle, Θ(n): one ruler-segmented walk (list/ruler_walk.h)
+/// leaves each node's segment and distance from its ruler, and one
+/// streaming pass turns them into ranks once the segments are ordered.
 std::vector<std::uint64_t> sequential_ranking(const list::LinkedList& list);
 
 }  // namespace llmp::apps

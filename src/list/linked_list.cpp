@@ -2,17 +2,18 @@
 
 #include <utility>
 
+#include "list/ruler_walk.h"
 #include "stabilize/audit.h"
 
 namespace llmp::list {
 
 Status LinkedList::structure(const std::vector<index_t>& next, index_t& head,
                              index_t& tail) {
-  // One allocation-free walk accepts a chain and finds its ends. Only a
-  // rejected array goes to the integrity auditor, whose report names the
-  // first divergent node and what is wrong with it (stabilize/audit.h)
-  // instead of a bare "invalid list".
-  if (stabilize::chain_is_clean(next, head, tail)) return {};
+  // One allocation-free ruler walk accepts a chain and finds its ends.
+  // Only a rejected array goes to the integrity auditor, whose report
+  // names the first divergent node and what is wrong with it
+  // (stabilize/audit.h) instead of a bare "invalid list".
+  if (chain_is_clean(next, head, tail)) return {};
   return Status::invalid_argument("invalid successor array — " +
                                   stabilize::audit_structure(next).summary());
 }

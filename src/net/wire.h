@@ -156,6 +156,18 @@ class WireWriter {
     u32(static_cast<std::uint32_t>(v));
     u32(static_cast<std::uint32_t>(v >> 32));
   }
+  /// `count` u32s back to back: one resize, then the bytes in place.
+  void u32s(const std::uint32_t* v, std::size_t count) {
+    const std::size_t at = out_.size();
+    out_.resize(at + count * 4);
+    std::uint8_t* p = out_.data() + at;
+    for (std::size_t i = 0; i < count; ++i, p += 4) {
+      p[0] = static_cast<std::uint8_t>(v[i]);
+      p[1] = static_cast<std::uint8_t>(v[i] >> 8);
+      p[2] = static_cast<std::uint8_t>(v[i] >> 16);
+      p[3] = static_cast<std::uint8_t>(v[i] >> 24);
+    }
+  }
   /// Length-prefixed short string (u16 length).
   void str16(const std::string& s) {
     const std::size_t len = s.size() > 0xFFFF ? 0xFFFF : s.size();
@@ -195,6 +207,19 @@ class WireReader {
          static_cast<std::uint32_t>(data_[pos_ + 2]) << 16 |
          static_cast<std::uint32_t>(data_[pos_ + 3]) << 24;
     pos_ += 4;
+    return {};
+  }
+  /// `count` u32s back to back, after one bounds check: on a short
+  /// buffer nothing is read or written.
+  Status u32s(std::uint32_t* v, std::size_t count, const char* what) {
+    if (remaining() / 4 < count) return truncated(what);
+    const std::uint8_t* p = data_ + pos_;
+    for (std::size_t i = 0; i < count; ++i, p += 4)
+      v[i] = static_cast<std::uint32_t>(p[0]) |
+             static_cast<std::uint32_t>(p[1]) << 8 |
+             static_cast<std::uint32_t>(p[2]) << 16 |
+             static_cast<std::uint32_t>(p[3]) << 24;
+    pos_ += count * 4;
     return {};
   }
   Status u64(std::uint64_t* v, const char* what) {
@@ -354,7 +379,7 @@ inline Status encode_request(const RequestFrame& f, std::uint32_t tenant,
         if (f.list_spec == ListSpec::kGenerated) {
           w.u64(f.seed);
         } else {
-          for (const index_t link : f.links) w.u32(link);
+          w.u32s(f.links.data(), f.links.size());
         }
       });
   return {};
@@ -451,13 +476,10 @@ inline Status decode_request(const std::uint8_t* payload, std::size_t size,
     return Status::invalid_argument(
         "inline list length mismatch: n=" + std::to_string(out->n) +
         " but " + std::to_string(r.remaining()) + " payload byte(s) follow");
-  out->links.clear();
-  out->links.reserve(out->n);
-  for (std::uint64_t i = 0; i < out->n; ++i) {
-    std::uint32_t link = 0;
-    if (Status s = r.u32(&link, "inline list link"); !s.ok()) return s;
-    out->links.push_back(link);
-  }
+  out->links.resize(out->n);
+  if (Status s = r.u32s(out->links.data(), out->n, "inline list link");
+      !s.ok())
+    return s;
   return r.expect_end("request frame");
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "support/bits.h"
 #include "support/check.h"
 
 namespace llmp::stabilize {
@@ -141,44 +142,6 @@ CorruptionReport audit_structure(const std::vector<index_t>& links) {
 
 namespace {
 
-/// 0 ^ 1 ^ ... ^ m, in closed form.
-index_t xor_through(index_t m) {
-  switch (m & 3u) {
-    case 0: return m;
-    case 1: return 1;
-    case 2: return m + 1;
-    default: return 0;
-  }
-}
-
-}  // namespace
-
-bool chain_is_clean(const std::vector<index_t>& links, index_t& head,
-                    index_t& tail) {
-  const std::size_t n = links.size();
-  if (n == 0 || n >= static_cast<std::size_t>(knil)) return false;
-  // XOR every successor, knil included, then take the one knil a chain
-  // has back out: what remains of the ids is the one nobody points at.
-  index_t successors = 0;
-  for (const index_t s : links) successors ^= s;
-  const index_t first =
-      xor_through(static_cast<index_t>(n - 1)) ^ successors ^ knil;
-  index_t v = first;
-  index_t last = knil;
-  for (std::size_t step = 0; step < n; ++step) {
-    if (v >= n) return false;  // nil too early, or out of range
-    LLMP_DCHECK(v < links.size());
-    last = v;
-    v = links[v];
-  }
-  if (v != knil) return false;  // n nodes walked and still no nil
-  head = first;
-  tail = last;
-  return true;
-}
-
-namespace {
-
 /// The fast verdict: whether `marks` is a valid maximal matching of the
 /// chain `links`, from one index-order sweep with no allocation and no
 /// branch on the marks. On a path, maximality is local to three
@@ -218,7 +181,7 @@ bool matching_is_clean(const index_t* links, const std::uint8_t* marks,
            (has2 & static_cast<std::uint32_t>((mu | m1 | m2) == 0));
     successors ^= s1;
   }
-  const index_t head = xor_through(n - 1) ^ successors ^ knil;
+  const index_t head = bits::xor_through(n - 1) ^ successors ^ knil;
   if (head >= n) return false;  // not a chain: let the report decide
   const index_t s = links[head];
   const index_t g = s < n ? s : head;

@@ -17,8 +17,7 @@
 // list::LinkedList — the whole point is to scan state that may be too
 // corrupt for LinkedList's constructor to accept. llmp_stabilize
 // therefore depends only on llmp_support; list::LinkedList's validation
-// is implemented on top of chain_is_clean and audit_structure, not the
-// other way around.
+// is implemented on top of audit_structure, not the other way around.
 //
 // Every audit is O(n) and returns a CorruptionReport listing every
 // finding in deterministic (node) order. audit_structure accepts any
@@ -28,9 +27,10 @@
 // is why the Status forms in core/verify.cpp catch check_error.
 //
 // audit_structure and audit_matching each pair with a fast verdict.
-// chain_is_clean decides a successor array with one walk and no
-// allocation; list::LinkedList runs audit_structure only when the walk
-// rejects the array, to name what is wrong.
+// list::chain_is_clean (list/ruler_walk.h) decides a successor array with
+// one streaming pass and one ruler-segmented walk, without allocating;
+// list::LinkedList runs audit_structure only when that verdict rejects
+// the array, to name what is wrong.
 //
 // audit_matching, the check on every served answer, splits into a fast
 // verdict and a slow report. The verdict is one index-order sweep with no
@@ -108,19 +108,10 @@ struct CorruptionReport {
 };
 
 /// Audit a successor array: exactly one chain covering every node. The
-/// same predicate as chain_is_clean and list::LinkedList::validate (whose
-/// messages it writes), but reporting every defect instead of the first.
+/// same predicate as list::chain_is_clean and list::LinkedList::validate
+/// (whose messages it writes), but reporting every defect instead of the
+/// first.
 CorruptionReport audit_structure(const std::vector<index_t>& links);
-
-/// The fast structure verdict: exactly audit_structure(links).clean(),
-/// from one walk with no allocation. On true, head and tail name the
-/// chain's ends (on false they are untouched). The only candidate head is
-/// the XOR of every id and every non-nil successor, and the array is one
-/// chain iff the walk from it reaches nil after exactly n nodes. The walk
-/// range-tests every index and stops after n steps, so a repeated node
-/// fails it and no input can read out of bounds or loop it.
-bool chain_is_clean(const std::vector<index_t>& links, index_t& head,
-                    index_t& tail);
 
 /// Audit a tail-side matching bitmap over a *valid* chain: marks[v] != 0
 /// chooses pointer <v, links[v]>. Detects marks beyond the tail or range,

@@ -48,6 +48,18 @@ inline std::uint64_t isolate_lsb(std::uint64_t x) {
   return (c + 1) / 2;             // the lowest set bit itself ("unary")
 }
 
+/// 0 ^ 1 ^ ... ^ m, in closed form. XORed with every successor of a
+/// chain over ids 0..m (its tail's knil included) and with knil, it leaves
+/// the head: the one id nobody points at.
+inline index_t xor_through(index_t m) {
+  switch (m & 3u) {
+    case 0: return m;
+    case 1: return 1;
+    case 2: return m + 1;
+    default: return 0;
+  }
+}
+
 /// Reverse the low `width` bits of x (the rest must be zero).
 std::uint64_t reverse_bits(std::uint64_t x, int width);
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "list/generators.h"
+#include "list/ruler_walk.h"
 #include "stabilize/audit.h"
 #include "support/check.h"
 
@@ -136,11 +137,11 @@ TEST(LinkedList, OneWalkVerdictLeavesEndsAloneOnRejection) {
   for (const std::vector<index_t>& bad :
        {std::vector<index_t>{}, {1, 0}, {knil, knil}, {2, knil},
         {1, knil, 3, 2}}) {
-    EXPECT_FALSE(stabilize::chain_is_clean(bad, head, tail)) << show(bad);
+    EXPECT_FALSE(chain_is_clean(bad, head, tail)) << show(bad);
     EXPECT_EQ(head, 7u);
     EXPECT_EQ(tail, 9u);
   }
-  EXPECT_TRUE(stabilize::chain_is_clean({2, knil, 1}, head, tail));
+  EXPECT_TRUE(chain_is_clean({2, knil, 1}, head, tail));
   EXPECT_EQ(head, 0u);
   EXPECT_EQ(tail, 1u);
 }
