@@ -8,7 +8,7 @@
 // the cache counters (hit rate, loads, spills, swap count, bytes moved)
 // next to blocked-vs-flat wall clock, so the IO-vs-compute crossover is
 // directly visible: at ratio 1x the engine pays only mailbox overhead;
-// past the cache cliff every round pays block swaps.
+// past the cache cliff every batch of tokens pays a block swap.
 //
 //   --n N    list length (default 2^17 = 131072 nodes; with 4096-node
 //            blocks that is 32 blocks, so the 4-frame row runs at 8x
@@ -96,7 +96,7 @@ int run(int argc, char** argv) {
       n, blocks, cfg.block_nodes, rec, fmt::num(flat_ms, 3).c_str());
 
   fmt::Table t({"frames", "budget_KiB", "ratio", "hit_rate", "loads",
-                "spills", "load_MiB", "spill_MiB", "swaps", "rounds",
+                "spills", "load_MiB", "spill_MiB", "swaps", "longest_segment",
                 "posts", "batches", "warm_ms", "vs_flat", "exact"});
   for (const Row& r : rows) {
     const engine::EngineStats& e = r.stats;
@@ -107,7 +107,8 @@ int run(int argc, char** argv) {
                fmt::num(e.loads), fmt::num(e.spills),
                fmt::num(static_cast<double>(e.load_bytes) / (1 << 20), 2),
                fmt::num(static_cast<double>(e.spill_bytes) / (1 << 20), 2),
-               fmt::num(e.swaps), fmt::num(e.rounds), fmt::num(e.mailbox_posts),
+               fmt::num(e.swaps), fmt::num(e.longest_segment),
+               fmt::num(e.mailbox_posts),
                fmt::num(e.mailbox_batches), fmt::num(r.warm_ms, 3),
                fmt::num(flat_ms > 0 ? r.warm_ms / flat_ms : 0.0, 2) + "x",
                r.exact ? "yes" : "NO"});

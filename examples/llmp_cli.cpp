@@ -139,7 +139,7 @@ int cmd_match_blocked(const Args& a, const list::LinkedList& lst) {
         {"load_bytes", std::to_string(e.load_bytes)},
         {"spill_bytes", std::to_string(e.spill_bytes)},
         {"swaps", std::to_string(e.swaps)},
-        {"rounds", std::to_string(e.rounds)},
+        {"longest_segment", std::to_string(e.longest_segment)},
         {"mailbox_posts", std::to_string(e.mailbox_posts)},
         {"verified", ok ? "matches-flat" : "MISMATCH"}});
   return ok ? 0 : 1;

@@ -3,15 +3,18 @@
 // The engine partitions a list's node records into fixed-size blocks and
 // keeps at most `cache_blocks` of them resident at a time; the rest live
 // in a file-backed store (io_driver.h) and are swapped in on demand by a
-// scheduler that ranks blocks by pending pointer work (scheduler.h). The
-// point is to run Match/rank passes on lists far larger than the cache
-// budget — the memory the engine holds per store is
+// scheduler that ranks blocks by the tokens waiting in their mailboxes
+// (scheduler.h). The point is to run the matching and ranking passes on
+// lists far larger than the cache budget — the memory the engine holds
+// per store is
 //
 //   cache_blocks × block_nodes × sizeof(record)
 //
-// regardless of list size. EngineStats is the metrics surface every layer
-// above (bench_blocked_ranking, llmp_cli --cache-blocks, serve requests
-// with a memory budget) reports through.
+// regardless of list size, plus the chase's ruler table and the tokens in
+// flight, each bounded by `mailbox_watermark` (blocked_match.h).
+// EngineStats is the metrics surface every layer above
+// (bench_blocked_ranking, llmp_cli --cache-blocks, serve requests with a
+// memory budget) reports through.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +30,9 @@ struct BlockConfig {
   std::size_t cache_blocks = 8;    ///< resident frames (the cache budget)
   /// Directory for the (unlinked) spill file; empty = $TMPDIR or /tmp.
   std::string spill_dir;
-  /// Cap on in-flight cross-block requests before the sweep pauses to
-  /// drain mailboxes (bounds transient memory); 0 = 4 × block_nodes.
+  /// Most windows the chase cuts the list into, and so most tokens in
+  /// flight (bounds transient memory); the sweep also drains mailboxes
+  /// once more tokens than this wait. 0 = 4 × block_nodes.
   std::size_t mailbox_watermark = 0;
 
   /// Cache budget in bytes for records of `record_bytes` each.
@@ -69,7 +73,8 @@ inline const char* to_string(Residency r) {
 }
 
 /// Counters every blocked run reports through the metrics sink. All
-/// monotonic within a run; reset() between runs keeps no allocations.
+/// monotonic within a run (longest_segment is a running maximum);
+/// reset() between runs keeps no allocations.
 struct EngineStats {
   std::uint64_t hits = 0;        ///< pins served from a resident frame
   std::uint64_t misses = 0;      ///< pins that had to load or materialize
@@ -79,9 +84,10 @@ struct EngineStats {
   std::uint64_t swaps = 0;       ///< evict-then-load frame exchanges
   std::uint64_t load_bytes = 0;  ///< bytes read from the backing file
   std::uint64_t spill_bytes = 0;  ///< bytes written to the backing file
-  std::uint64_t mailbox_posts = 0;    ///< cross-block requests posted
+  std::uint64_t mailbox_posts = 0;    ///< tokens posted across blocks
   std::uint64_t mailbox_batches = 0;  ///< mailbox drains (batched pins)
-  std::uint64_t rounds = 0;           ///< pointer-doubling rounds run
+  /// Most nodes one ruler's token walked: the chase's critical path.
+  std::uint64_t longest_segment = 0;
 
   void reset() { *this = EngineStats{}; }
 
@@ -89,21 +95,6 @@ struct EngineStats {
     const std::uint64_t total = hits + misses;
     return total == 0 ? 1.0 : static_cast<double>(hits) /
                                   static_cast<double>(total);
-  }
-
-  EngineStats& operator+=(const EngineStats& o) {
-    hits += o.hits;
-    misses += o.misses;
-    loads += o.loads;
-    spills += o.spills;
-    evictions += o.evictions;
-    swaps += o.swaps;
-    load_bytes += o.load_bytes;
-    spill_bytes += o.spill_bytes;
-    mailbox_posts += o.mailbox_posts;
-    mailbox_batches += o.mailbox_batches;
-    rounds += o.rounds;
-    return *this;
   }
 };
 

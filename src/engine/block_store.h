@@ -142,18 +142,6 @@ class BlockStore {
     return Status();
   }
 
-  /// Forget all contents (blocks revert to the fill value) without
-  /// releasing frames or maps — the warm-restart entry point.
-  void reset_contents() {
-    for (std::size_t frame = 0; frame < cache_blocks_; ++frame)
-      frame_block_[frame] = kNoBlock;
-    for (std::size_t block = 0; block < blocks_; ++block) {
-      block_frame_[block] = kNoFrame;
-      residency_[block] = Residency::kUnmaterialized;
-      on_file_[block] = 0;
-    }
-  }
-
  private:
   static constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
   static constexpr std::size_t kNoFrame = static_cast<std::size_t>(-1);

@@ -5,14 +5,15 @@
 // cache_blocks × block_nodes records are in memory at any time however
 // long the list is. init() streams the successor array through the cache
 // once (the ingest pass — a production ingest would stream from a file
-// the same way); to_flat() streams it back out, which is how tests prove
-// the round trip is lossless.
+// the same way) and folds it into the list's 64-bit seed on the way;
+// to_flat() streams it back out, which is how tests prove the round trip
+// is lossless.
 //
-// Beside the static successor, every NodeRec carries the pointer-doubling
-// working pair (jump, dist) the blocked passes mutate in place — keeping
-// them in the same record means one pin serves both the read of next and
-// the write of the doubling state, halving block traffic versus separate
-// stores.
+// Beside the static successor, every NodeRec carries what the chase
+// writes there (blocked_match.h): the ruler whose token visited the node
+// and the node's offset from that ruler. Keeping them in the same record
+// means one pin serves both the read of next and the write of the
+// chase's state.
 #pragma once
 
 #include <cstdint>
@@ -30,26 +31,23 @@ namespace llmp::engine {
 
 /// One node's record in the blocked store (16 bytes).
 struct NodeRec {
-  index_t next = knil;      ///< static successor (knil = tail)
-  index_t jump = knil;      ///< doubling pointer; knil = resolved
-  std::uint64_t dist = 0;   ///< exact link distance from this node to jump
-                            ///< (once resolved: distance to the tail)
+  index_t next = knil;       ///< static successor (knil = tail)
+  index_t ruler = knil;      ///< the chase's table entry of this node's ruler
+  std::uint64_t offset = 0;  ///< link distance from that ruler to this node
 };
 
 class BlockedList {
  public:
   /// Build the blocked image of `src` under `cfg`: allocates the cache
   /// frames and maps, then streams every block through the cache. The
-  /// one allocation point — reuse an initialized list via reload().
+  /// one allocation point.
   Status init(const list::LinkedList& src, const BlockConfig& cfg);
-
-  /// Re-stream `src` into an already-initialized list with identical
-  /// geometry (size and cfg); performs no allocations.
-  Status reload(const list::LinkedList& src);
 
   std::size_t size() const { return n_; }
   index_t head() const { return head_; }
   index_t tail() const { return tail_; }
+  /// A 64-bit digest of the successor array, folded during init().
+  std::uint64_t seed() const { return seed_; }
   list::StoragePolicy storage_policy() const {
     return list::StoragePolicy::kBlocked;
   }
@@ -65,11 +63,10 @@ class BlockedList {
   Status to_flat(std::vector<index_t>& out);
 
  private:
-  Status stream_in(const list::LinkedList& src);
-
   std::size_t n_ = 0;
   index_t head_ = knil;
   index_t tail_ = knil;
+  std::uint64_t seed_ = 0;
   BlockConfig cfg_;
   CacheScheduler sched_;
   BlockStore<NodeRec> store_;

@@ -9,159 +9,108 @@ namespace llmp::engine {
 Status BlockedMatcher::init(const list::LinkedList& src,
                             const BlockConfig& cfg) {
   if (Status s = list_.init(src, cfg); !s.ok()) return s;
-  queries_.init(list_.blocks());
-  replies_.init(list_.blocks());
-  stack_.clear();
-  stack_.reserve(cfg.block_nodes);
-  done_.assign(cfg.block_nodes, 0);
+  tokens_.init(list_.blocks());
   watermark_ = cfg.mailbox_watermark != 0
                    ? cfg.mailbox_watermark
                    : static_cast<std::uint64_t>(4 * cfg.block_nodes);
-  unresolved_ = 0;
+  const std::size_t n = list_.size();
+  rulers_ = {Rulers::shift_for(n, watermark_), list_.seed()};
+  const std::size_t windows = rulers_.windows(n);
+  const index_t head = list_.head();
+  head_entry_ = rulers_.ruler(head >> rulers_.shift) == head
+                    ? head >> rulers_.shift
+                    : static_cast<index_t>(windows);
+  table_.assign(windows + 1, Segment{knil, 0, 0});
   return Status();
 }
 
-Status BlockedMatcher::local_pass() {
+void BlockedMatcher::advance(Token t, std::size_t b, NodeRec* recs) {
   auto& store = list_.store();
-  const std::size_t bn = store.block_nodes();
-  const std::size_t n = list_.size();
-  unresolved_ = 0;
-  for (std::size_t b = 0; b < store.blocks(); ++b) {
-    NodeRec* recs = nullptr;
-    if (Status s = store.pin(b, &recs); !s.ok()) return s;
-    const std::size_t base = b * bn;
-    const std::size_t count = (base + bn <= n) ? bn : n - base;
-    std::fill(done_.begin(), done_.begin() + count, 0);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (done_[i] != 0) continue;
-      // Chase the intra-block chain from slot i until it resolves: hits
-      // the tail, exits the block, or reaches an already-resolved slot.
-      // In-degree ≤ 1 makes the chain a simple path, so with the done_
-      // memo the whole block costs O(block_nodes).
-      stack_.clear();
-      std::size_t cur = i;
-      while (done_[cur] == 0) {
-        const index_t nx = recs[cur].next;
-        if (nx == knil) {  // the tail: 0 links from itself
-          recs[cur].jump = knil;
-          recs[cur].dist = 0;
-          done_[cur] = 1;
-          break;
-        }
-        if (store.block_of(nx) != b) {  // first successor outside b
-          recs[cur].jump = nx;
-          recs[cur].dist = 1;
-          done_[cur] = 1;
-          break;
-        }
-        stack_.push_back(static_cast<index_t>(cur));
-        cur = store.slot_of(nx);
-      }
-      // Unwind: each pushed slot is one link before the slot after it.
-      while (!stack_.empty()) {
-        const std::size_t prev = stack_.back();
-        stack_.pop_back();
-        recs[prev].jump = recs[cur].jump;
-        recs[prev].dist = recs[cur].dist + 1;
-        done_[prev] = 1;
-        cur = prev;
-      }
+  for (;;) {
+    NodeRec& rec = recs[store.slot_of(t.node)];
+    rec.ruler = t.ruler;
+    rec.offset = t.offset++;
+    const index_t nx = rec.next;
+    // Nothing links to the head, so the only rulers a token can meet are
+    // window rulers, and a window ruler's entry is its window.
+    const std::uint64_t w = nx >> rulers_.shift;
+    if (nx == knil || rulers_.ruler(w) == nx) {
+      Segment& seg = table_[t.ruler];
+      seg.next = nx == knil ? knil : static_cast<index_t>(w);
+      seg.length = static_cast<index_t>(t.offset);
+      auto& longest = store.stats().longest_segment;
+      longest = std::max(longest, t.offset);
+      return;
     }
-    for (std::size_t i = 0; i < count; ++i) {
-      if (recs[i].jump != knil) ++unresolved_;
+    t.node = nx;
+    const std::size_t to = store.block_of(nx);
+    if (to != b) {
+      tokens_.post(to, t, list_.scheduler(), store.stats());
+      return;
     }
-    store.mark_dirty(b);
   }
-  return Status();
+}
+
+void BlockedMatcher::serve(std::size_t b, NodeRec* recs) {
+  // advance() posts only to other blocks, so b's batch stays put.
+  for (const Token& t : tokens_.batch(b)) advance(t, b, recs);
+  tokens_.clear(b, list_.scheduler(), list_.store().stats());
 }
 
 Status BlockedMatcher::drain_until(std::uint64_t target) {
   auto& store = list_.store();
   auto& sched = list_.scheduler();
-  auto& stats = store.stats();
   while (sched.total_pending() > target) {
     const std::size_t b = sched.next_block();
     if (b == CacheScheduler::kNone) break;
     NodeRec* recs = nullptr;
     if (Status s = store.pin(b, &recs); !s.ok()) return s;
-    // Answer this block's queries first: replies posted to b itself land
-    // in the reply batch processed right below, so one pin serves both.
-    for (const Request& q : queries_.batch(b)) {
-      const std::size_t slot = store.slot_of(q.node);
-      Request reply;
-      reply.node = q.origin;
-      reply.jump = recs[slot].jump;
-      reply.dist = recs[slot].dist;
-      replies_.post(store.block_of(q.origin), reply, sched, stats);
-    }
-    queries_.clear(b, sched, stats);
-    bool wrote = false;
-    for (const Request& rp : replies_.batch(b)) {
-      NodeRec& rec = recs[store.slot_of(rp.node)];
-      LLMP_DCHECK(rec.jump != knil);
-      rec.dist += rp.dist;
-      rec.jump = rp.jump;
-      if (rec.jump == knil) --unresolved_;
-      wrote = true;
-    }
-    replies_.clear(b, sched, stats);
-    if (wrote) store.mark_dirty(b);
+    serve(b, recs);
+    store.mark_dirty(b);
   }
   return Status();
 }
 
-Status BlockedMatcher::doubling_round() {
+Status BlockedMatcher::resolve_all() {
+  // A faulted previous run may have left tokens in flight; start clean
+  // (init/assign at unchanged sizes — no allocations).
   auto& store = list_.store();
   auto& sched = list_.scheduler();
-  auto& stats = store.stats();
-  ++stats.rounds;
+  tokens_.init(list_.blocks());
+  sched.init(list_.blocks());
   const std::size_t bn = store.block_nodes();
   const std::size_t n = list_.size();
+  const std::size_t windows = table_.size() - 1;
+  const index_t head = list_.head();
+  std::size_t w = 0;  // rulers ascend with their windows
   for (std::size_t b = 0; b < store.blocks(); ++b) {
     NodeRec* recs = nullptr;
     if (Status s = store.pin(b, &recs); !s.ok()) return s;
-    const std::size_t base = b * bn;
-    const std::size_t count = (base + bn <= n) ? bn : n - base;
-    bool wrote = false;
-    for (std::size_t i = 0; i < count; ++i) {
-      const index_t w = recs[i].jump;
-      if (w == knil) continue;
-      if (store.block_of(w) == b) {
-        // Target is in the pinned block: apply the jump inline. Reading
-        // a rec already advanced this round is fine — dist is always the
-        // exact distance to jump, whatever round the pair is from.
-        const NodeRec& target = recs[store.slot_of(w)];
-        recs[i].dist += target.dist;
-        recs[i].jump = target.jump;
-        if (recs[i].jump == knil) --unresolved_;
-        wrote = true;
-      } else {
-        Request q;
-        q.node = w;
-        q.origin = static_cast<index_t>(base + i);
-        queries_.post(store.block_of(w), q, sched, stats);
-      }
+    serve(b, recs);
+    for (; w < windows; ++w) {
+      const std::uint64_t r = rulers_.ruler(w);
+      if (r >= (b + 1) * bn) break;
+      if (r < n)
+        advance({static_cast<index_t>(r), static_cast<index_t>(w), 0}, b,
+                recs);
     }
-    if (wrote) store.mark_dirty(b);
-    // Bound the in-flight backlog: pause the sweep and let the scheduler
-    // drain the fullest mailboxes before posting more.
+    if (head_entry_ == windows && store.block_of(head) == b)
+      advance({head, head_entry_, 0}, b, recs);
+    store.mark_dirty(b);
+    // Bound the tokens in flight. They never outnumber the rulers, so
+    // this fires only when nearly every token waits at once.
     if (sched.total_pending() > watermark_) {
       if (Status s = drain_until(watermark_ / 2); !s.ok()) return s;
     }
   }
-  return drain_until(0);
-}
+  if (Status s = drain_until(0); !s.ok()) return s;
 
-Status BlockedMatcher::resolve_all() {
-  // A faulted previous run may have left mail in flight; start clean
-  // (init/assign at unchanged sizes — no allocations).
-  queries_.init(list_.blocks());
-  replies_.init(list_.blocks());
-  list_.scheduler().init(list_.blocks());
-  if (Status s = local_pass(); !s.ok()) return s;
-  while (unresolved_ > 0) {
-    if (Status s = doubling_round(); !s.ok()) return s;
+  index_t pos = 0;
+  for (index_t e = head_entry_; e != knil; e = table_[e].next) {
+    table_[e].pos = pos;
+    pos += table_[e].length;
   }
+  LLMP_DCHECK(pos == n);
   return Status();
 }
 
@@ -172,7 +121,6 @@ Status BlockedMatcher::matching_into(core::MatchResult& r) {
   const std::size_t n = list_.size();
   r.reset();
   r.in_matching.assign(n, 0);
-  const std::uint64_t total = static_cast<std::uint64_t>(n) - 1;
   for (std::size_t b = 0; b < store.blocks(); ++b) {
     NodeRec* recs = nullptr;
     if (Status s = store.pin(b, &recs); !s.ok()) return s;
@@ -180,9 +128,9 @@ Status BlockedMatcher::matching_into(core::MatchResult& r) {
     const std::size_t count = (base + bn <= n) ? bn : n - base;
     for (std::size_t i = 0; i < count; ++i) {
       if (recs[i].next == knil) continue;  // the tail has no pointer
-      // Greedy-from-head takes every even-distance pointer; distance
-      // from the head is total minus the resolved distance to the tail.
-      const std::uint64_t from_head = total - recs[i].dist;
+      // Greedy-from-head takes every even-distance pointer.
+      const std::uint64_t from_head =
+          table_[recs[i].ruler].pos + recs[i].offset;
       if ((from_head & 1) == 0) {
         r.in_matching[base + i] = 1;
         ++r.edges;
@@ -202,6 +150,7 @@ Status BlockedMatcher::ranking_into(std::vector<std::uint64_t>& rank) {
   auto& store = list_.store();
   const std::size_t bn = store.block_nodes();
   const std::size_t n = list_.size();
+  const std::uint64_t last = static_cast<std::uint64_t>(n) - 1;
   rank.assign(n, 0);
   for (std::size_t b = 0; b < store.blocks(); ++b) {
     NodeRec* recs = nullptr;
@@ -209,7 +158,8 @@ Status BlockedMatcher::ranking_into(std::vector<std::uint64_t>& rank) {
     const std::size_t base = b * bn;
     const std::size_t count = (base + bn <= n) ? bn : n - base;
     LLMP_DCHECK(base + count <= rank.size());
-    for (std::size_t i = 0; i < count; ++i) rank[base + i] = recs[i].dist;
+    for (std::size_t i = 0; i < count; ++i)
+      rank[base + i] = last - (table_[recs[i].ruler].pos + recs[i].offset);
   }
   return Status();
 }

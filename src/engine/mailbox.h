@@ -1,13 +1,11 @@
-// Per-block mailboxes for cross-block pointer requests.
+// Per-block mailboxes for the chase's tokens.
 //
 // The blocked passes never chase a pointer into a non-resident block
 // directly — that would turn every cross-block link into a random block
-// load. Instead they post a small request record into the target block's
-// mailbox and keep streaming; the scheduler later pins the block with the
-// most mail and drains the whole batch against one load. A request either
-// asks a block a question about one of its nodes (kQuery) or delivers a
-// finished value to one of its nodes (kReply) — the pointer-doubling pass
-// in blocked_match.cpp is built entirely from these two shapes.
+// load. A token whose walk leaves the pinned block is posted into the
+// successor's block mailbox instead, and the sweep moves on; the
+// scheduler later pins the block with the most tokens waiting and walks
+// the whole batch on against one load (blocked_match.h).
 //
 // Box vectors keep their capacity across clear(), so a warm engine posts
 // and drains without allocating once the first run has sized them.
@@ -24,15 +22,13 @@
 
 namespace llmp::engine {
 
-/// One cross-block request. For a kQuery, `node` is the queried node in
-/// the target block and `origin` the node awaiting the answer; for a
-/// kReply, `node` is the destination node in the target block and
-/// `jump`/`dist` the delivered successor/distance pair.
-struct Request {
+/// One ruler's token on its way through the list (16 bytes): the node it
+/// visits next, in the target block, the ruler's entry in the chase's
+/// table, and that node's distance from the ruler.
+struct Token {
   index_t node = knil;
-  index_t origin = knil;
-  index_t jump = knil;
-  std::uint64_t dist = 0;
+  index_t ruler = knil;
+  std::uint64_t offset = 0;
 };
 
 class MailboxSet {
@@ -47,10 +43,10 @@ class MailboxSet {
 
   std::size_t blocks() const { return blocks_; }
 
-  void post(std::size_t block, const Request& req, CacheScheduler& sched,
+  void post(std::size_t block, const Token& token, CacheScheduler& sched,
             EngineStats& stats) {
     LLMP_DCHECK(block < blocks_);
-    boxes_[block].push_back(req);
+    boxes_[block].push_back(token);
     sched.note_post(block);
     ++stats.mailbox_posts;
   }
@@ -58,9 +54,9 @@ class MailboxSet {
   bool empty(std::size_t block) const { return boxes_[block].empty(); }
 
   /// The batch for `block`; the caller drains it in full, then calls
-  /// clear(). Kept as a two-step so the drain loop can post new requests
-  /// to *other* blocks while iterating this one.
-  const std::vector<Request>& batch(std::size_t block) const {
+  /// clear(). Kept as a two-step so the drain loop can post tokens to
+  /// *other* blocks while iterating this one.
+  const std::vector<Token>& batch(std::size_t block) const {
     return boxes_[block];
   }
 
@@ -71,7 +67,7 @@ class MailboxSet {
   }
 
  private:
-  std::vector<std::vector<Request>> boxes_;
+  std::vector<std::vector<Token>> boxes_;
   std::size_t blocks_ = 0;
 };
 
