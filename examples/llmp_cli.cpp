@@ -177,14 +177,15 @@ int cmd_match_served(const Args& a, const list::LinkedList& lst) {
   const serve::ServiceStats st = svc.stats();
   svc.shutdown();
   support::failpoint::disarm_all();
-  emit(a, "match_served",
-       {{"algorithm", alg},
-        {"n", std::to_string(lst.size())},
-        {"audit", serve::to_string(policy)},
-        {"status", r.ok() ? "OK" : r.status().to_string()},
-        {"edges", std::to_string(r.ok() ? r->edges : 0)},
-        {"audits_failed", std::to_string(st.audits_failed)},
-        {"repairs", std::to_string(st.repairs)}});
+  std::vector<std::pair<std::string, std::string>> fields = {
+      {"algorithm", alg},
+      {"n", std::to_string(lst.size())},
+      {"audit", serve::to_string(policy)},
+      {"status", r.ok() ? "OK" : r.status().to_string()},
+      {"edges", std::to_string(r.ok() ? r->edges : 0)}};
+  for (const auto& f : serve::kServiceStatsFields)
+    fields.emplace_back(f.name, std::to_string(st.*f.member));
+  emit(a, "match_served", fields);
   return r.ok() ? 0 : 1;
 }
 
@@ -283,8 +284,8 @@ void usage() {
       "usage: llmp_cli <match|rank|color|tree|list> [options]\n"
       "  common: --n N --p P --seed S --shape "
       "random|identity|reverse|strided|blocked --json\n"
-      "  match:  --alg seq|match1|match2|match3|match4|random|<registry "
-      "name> --i I --table --erew\n"
+      "  match:  --alg sequential|match1|match2|match3|match4|randomized|"
+      "<registry name> --i I --table --erew\n"
       "          --budget-bytes B [--block-nodes N --cache-blocks C]  run "
       "out of core through the block engine\n"
       "          --audit off|audit|repair [--corrupt P]  submit through a "

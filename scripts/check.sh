@@ -26,10 +26,12 @@
 #      including the malformed-frame fuzz decode suite in
 #      net_server_test, which is the suite's home turf,
 #   5. the threading tests (thread_pool_test, machine_test, serve_test,
-#      chaos_test, fused_backend_test, net_server_test) under TSan — the
-#      chaos storm exercises fault injection, worker restarts, retries
-#      and the watchdog, and the net tests the IO-thread/worker
-#      completion handoff, with the race detector watching.
+#      chaos_test, fused_backend_test, net_server_test, metrics_test)
+#      under TSan — the chaos storm exercises fault injection, worker
+#      restarts, retries and the watchdog, the net tests the
+#      IO-thread/worker completion handoff, and the metrics tests the
+#      latency histogram's record() racing percentile() and reset(), with
+#      the race detector watching.
 #
 # Usage: scripts/check.sh [--fast]   (--fast skips the sanitizer builds)
 set -euo pipefail
@@ -107,8 +109,8 @@ cmake -B build-tsan -S . \
   -DLLMP_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target thread_pool_test machine_test serve_test chaos_test \
-  fused_backend_test net_server_test
+  fused_backend_test net_server_test metrics_test
 (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-  -R "ThreadPool|Machine|Serve|BoundedQueue|Chaos|FusedBackend|Net")
+  -R "ThreadPool|Machine|Serve|BoundedQueue|Chaos|FusedBackend|Net|Metrics")
 
 echo "check.sh: all green"

@@ -18,6 +18,7 @@
 // to happen on one thread before any parallel use.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -43,6 +44,12 @@ enum class Algorithm {
   kMatch4,      ///< this paper: O(n·log i/p + log^(i) n + log i)
   kRandomized,  ///< Luby-style coin tossing, O(log n) rounds w.h.p.
 };
+
+/// Number of Algorithm values, one past the last; state indexed by
+/// Algorithm is sized from it, and validate_options() rejects any value
+/// outside [0, kAlgorithmCount).
+inline constexpr std::size_t kAlgorithmCount =
+    static_cast<std::size_t>(Algorithm::kRandomized) + 1;
 
 std::string to_string(Algorithm alg);
 

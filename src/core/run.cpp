@@ -7,17 +7,8 @@
 namespace llmp::core {
 
 Status validate_options(const MatchOptions& opt) {
-  switch (opt.algorithm) {
-    case Algorithm::kSequential:
-    case Algorithm::kMatch1:
-    case Algorithm::kMatch2:
-    case Algorithm::kMatch3:
-    case Algorithm::kMatch4:
-    case Algorithm::kRandomized:
-      break;
-    default:
-      return Status::invalid_argument("unknown algorithm enum value");
-  }
+  if (static_cast<std::size_t>(opt.algorithm) >= kAlgorithmCount)
+    return Status::invalid_argument("unknown algorithm enum value");
   if (opt.algorithm == Algorithm::kMatch4) {
     // i is the paper's adjustable parameter: rows = Θ(log^(i) n). Every
     // useful value is tiny (log* n <= 5 for any feasible n); the cap stops
@@ -39,16 +30,13 @@ Status validate_options(const MatchOptions& opt) {
 }
 
 Result<MatchOptions> resolve_algorithm(std::string_view name) {
-  // Historical aliases from the CLI, kept at the one resolution point.
-  if (name == "seq") name = "sequential";
-  if (name == "random") name = "randomized";
   const AlgorithmEntry* entry = AlgorithmRegistry::instance().find(name);
   if (entry == nullptr)
     return Status::not_found("unknown algorithm '" + std::string(name) +
                              "' (see the registry listing)");
   if (!entry->matching)
     return Status::invalid_argument(
-        "'" + std::string(name) +
+        "algorithm '" + std::string(name) +
         "' is registered but is not a matching algorithm");
   return entry->canonical;
 }

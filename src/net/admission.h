@@ -16,8 +16,9 @@
 // Per-tenant counters (admitted / rejected by which limit / completed /
 // in-flight) are the reconciliation ledger: the chaos test balances them
 // against injected faults, and the stats frame ships them to clients.
-// They live here, not in serve::ServiceStats — tenancy is a property of
-// the front door; the Service itself treats all work alike.
+// They are net::TenantStats (net/stats.h), not serve::ServiceStats —
+// tenancy is a property of the front door; the Service itself treats all
+// work alike.
 //
 // Thread-safety: one mutex. The server calls from its IO thread only,
 // but the bench's load generators snapshot stats concurrently.
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "net/stats.h"
 #include "support/status.h"
 
 namespace llmp::net {
@@ -44,16 +46,6 @@ struct TenantQuota {
 struct AdmissionOptions {
   TenantQuota default_quota;                  ///< tenants not listed below
   std::map<std::uint32_t, TenantQuota> quotas;  ///< per-tenant overrides
-};
-
-/// Counters for one tenant, snapshot by stats().
-struct TenantStats {
-  std::uint32_t tenant = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected_quota = 0;      ///< token bucket empty
-  std::uint64_t rejected_in_flight = 0;  ///< max_in_flight hit
-  std::uint64_t completed = 0;
-  std::uint64_t in_flight = 0;  ///< admitted − completed, right now
 };
 
 class AdmissionController {

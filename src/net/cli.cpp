@@ -4,35 +4,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <map>
-#include <utility>
 #include <vector>
 
 namespace llmp::net {
 
 namespace {
-
-/// Legacy spelling → namespaced spelling. The pre-namespace flags stay
-/// valid forever; new flags get only the namespaced form.
-const std::map<std::string, std::string>& alias_map() {
-  static const std::map<std::string, std::string> kAliases = {
-      {"--requests", "--serve.requests"},
-      {"--n", "--serve.n"},
-      {"--lists", "--serve.lists"},
-      {"--workers", "--serve.workers"},
-      {"--queue", "--serve.queue"},
-      {"--policy", "--serve.policy"},
-      {"--alg", "--serve.alg"},
-      {"--deadline-ms", "--serve.deadline-ms"},
-      {"--verify", "--serve.verify"},
-      {"--warmup", "--serve.warmup"},
-      {"--failpoints", "--fault.failpoints"},
-      {"--retries", "--fault.retries"},
-      {"--wedge-ms", "--fault.wedge-ms"},
-      {"--degrade", "--fault.degrade"},
-      {"--listen", "--net.listen"},
-  };
-  return kAliases;
-}
 
 /// Flags that take no value.
 bool is_boolean(const std::string& flag) {
@@ -98,44 +74,33 @@ std::string serve_cli_usage() {
   return
       "usage: llmp_serve [options]\n"
       "\n"
-      "Workload + service (--serve.*; the bare legacy spellings remain\n"
-      "valid aliases):\n"
+      "Workload + service (--serve.*):\n"
       "  --serve.requests R     total requests to submit (default 2000)\n"
-      "                         [alias: --requests]\n"
-      "  --serve.n N            nodes per list (default 10000) [alias: --n]\n"
+      "  --serve.n N            nodes per list (default 10000)\n"
       "  --serve.lists L        distinct lists cycled through (default 8)\n"
-      "                         [alias: --lists]\n"
-      "  --serve.workers W      service workers (default 4) [alias: --workers]\n"
-      "  --serve.queue Q        queue capacity (default 256) [alias: --queue]\n"
+      "  --serve.workers W      service workers (default 4)\n"
+      "  --serve.queue Q        queue capacity (default 256)\n"
       "  --serve.policy P       block|reject when the queue is full\n"
-      "                         [alias: --policy]\n"
       "  --serve.alg A          registry algorithm name (default match4)\n"
-      "                         [alias: --alg]\n"
       "  --serve.deadline-ms D  per-request deadline (default none)\n"
-      "                         [alias: --deadline-ms]\n"
       "  --serve.verify         audit every result with core::verify\n"
-      "                         [alias: --verify]\n"
       "  --serve.warmup K       warmup requests before stats reset\n"
-      "                         (default 8 x workers + 8) [alias: --warmup]\n"
+      "                         (default 8 x workers + 8)\n"
       "  --serve.audit M        integrity auditing: off|audit|repair\n"
       "                         (default off; audit fails corrupt results\n"
       "                         with DATA_LOSS, repair heals them in place)\n"
       "\n"
       "Fault injection / resilience (--fault.*):\n"
       "  --fault.failpoints S   arm failpoints from spec S after warmup\n"
-      "                         [alias: --failpoints]\n"
       "  --fault.retries R      retry attempts per request (default 1 = none)\n"
-      "                         [alias: --retries]\n"
       "  --fault.wedge-ms T     watchdog replaces workers busy longer than T\n"
-      "                         [alias: --wedge-ms]\n"
       "  --fault.degrade        enable graceful degradation to sequential\n"
-      "                         [alias: --degrade]\n"
       "\n"
       "Network front-end (--net.*; without these the tool runs the classic\n"
       "in-process loop):\n"
       "  --net.listen PORT      serve the wire protocol on PORT (0 =\n"
       "                         ephemeral, printed at startup) until\n"
-      "                         SIGINT/SIGTERM [alias: --listen]\n"
+      "                         SIGINT/SIGTERM\n"
       "  --net.connect H:P      send the request stream to a remote server\n"
       "                         instead of an in-process Service\n"
       "  --net.conns C          client connections in connect mode (default 1)\n"
@@ -154,18 +119,15 @@ Status parse_serve_cli(int argc, const char* const* argv,
   *help = false;
   std::map<std::string, std::string> kv;
   for (int i = 1; i < argc; ++i) {
-    std::string token = argv[i];
+    const std::string token = argv[i];
     if (token == "--help" || token == "-h") {
       *help = true;
       return {};
     }
     if (token.rfind("--", 0) != 0)
       return Status::invalid_argument("unexpected argument '" + token + "'");
-    if (auto it = alias_map().find(token); it != alias_map().end())
-      token = it->second;
     if (!known(token))
-      return Status::invalid_argument("unknown flag '" + std::string(argv[i]) +
-                                      "'");
+      return Status::invalid_argument("unknown flag '" + token + "'");
     if (is_boolean(token)) {
       kv.insert_or_assign(token, std::string("1"));
       continue;

@@ -8,11 +8,8 @@
 //   --fault.*   fault injection / resilience (failpoints, retries, …)
 //   --net.*     the wire layer (listen / connect, tenancy, quotas)
 //
-// plus the un-namespaced --csv output toggle. Every flag the tool shipped
-// before the split keeps working as a back-compat alias of its namespaced
-// spelling (--workers ⇒ --serve.workers, --failpoints ⇒
-// --fault.failpoints, …); tests/net_cli_test.cpp pins both spellings and
-// the --help text.
+// plus the un-namespaced --csv output toggle. tests/net_cli_test.cpp pins
+// the flags and the --help text.
 //
 // Parsing lives here — not in tools/ — so the test suite can drive it
 // directly; the tool's main() is a thin shell around parse_serve_cli().
@@ -58,7 +55,7 @@ struct ServeCliOptions {
   bool csv = false;
 };
 
-/// The --help text (every namespaced flag with its legacy alias).
+/// The --help text (every flag).
 std::string serve_cli_usage();
 
 /// Parse argv into *out. Sets *help and returns OK when --help/-h was

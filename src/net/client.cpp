@@ -13,26 +13,6 @@
 
 namespace llmp::net {
 
-namespace {
-
-/// Percentile from a log2-bucketed histogram: the upper bound of the
-/// bucket holding the p-th sample (same scheme as ServiceStats).
-std::uint64_t histogram_percentile(const std::uint64_t* buckets,
-                                   std::size_t n_buckets,
-                                   std::uint64_t count, double p) {
-  if (count == 0) return 0;
-  const std::uint64_t rank =
-      static_cast<std::uint64_t>(p * static_cast<double>(count - 1)) + 1;
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < n_buckets; ++i) {
-    seen += buckets[i];
-    if (seen >= rank) return i == 0 ? 1 : (1ull << i);
-  }
-  return 1ull << (n_buckets - 1);
-}
-
-}  // namespace
-
 Client::Client(ClientOptions options) : options_(std::move(options)) {}
 
 Client::~Client() { close(); }
@@ -160,13 +140,6 @@ Status Client::encode_builder(const RequestBuilder& req,
   return encode_request(f, tenant, request_id, out);
 }
 
-void Client::record_latency(std::uint64_t us) {
-  std::size_t b = 0;
-  while (b + 1 < kLatencyBuckets && (1ull << b) < us) ++b;
-  latency_[b]++;
-  latency_count_++;
-}
-
 Result<core::MatchResult> Client::submit(const RequestBuilder& req) {
   std::vector<Result<core::MatchResult>> r =
       submit_batch(std::vector<RequestBuilder>{req});
@@ -230,7 +203,7 @@ std::vector<Result<core::MatchResult>> Client::submit_batch(
       stats_.duplicates++;
       continue;
     }
-    record_latency(static_cast<std::uint64_t>(
+    latency_.record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(now - started)
             .count()));
     if (h.type == FrameType::kResponse) {
@@ -308,10 +281,8 @@ Result<StatsFrame> Client::server_stats() {
 
 ClientStats Client::stats() const {
   ClientStats out = stats_;
-  out.p50_latency_us =
-      histogram_percentile(latency_, kLatencyBuckets, latency_count_, 0.50);
-  out.p99_latency_us =
-      histogram_percentile(latency_, kLatencyBuckets, latency_count_, 0.99);
+  out.p50_latency_us = latency_.percentile(0.50);
+  out.p99_latency_us = latency_.percentile(0.99);
   return out;
 }
 

@@ -35,6 +35,7 @@
 #include "core/match_result.h"
 #include "llmp.h"
 #include "net/wire.h"
+#include "support/metrics.h"
 #include "support/status.h"
 
 namespace llmp::net {
@@ -49,7 +50,8 @@ struct ClientOptions {
 };
 
 /// Client-side counters; latencies are response arrival minus the batch's
-/// first write, from a log2 histogram (upper-bound exact to within 2×).
+/// first write, from the log2 support::LatencyHistogram (each percentile
+/// is its bucket's upper bound, exact to within 2×).
 struct ClientStats {
   std::uint64_t requests = 0;   ///< request frames written
   std::uint64_t responses = 0;  ///< response/error frames consumed
@@ -84,7 +86,8 @@ class Client {
   std::vector<Result<core::MatchResult>> submit_batch(
       const std::vector<RequestBuilder>& reqs);
 
-  /// Fetch the server's stats frame (service counters + tenant ledger).
+  /// Fetch the server's stats frame: every ServiceStats and ServerStats
+  /// field, tenant ledger included.
   Result<StatsFrame> server_stats();
 
   ClientStats stats() const;
@@ -95,15 +98,12 @@ class Client {
   Status read_frame(FrameHeader* header, std::vector<std::uint8_t>* payload);
   Status encode_builder(const RequestBuilder& req, std::uint64_t request_id,
                         std::vector<std::uint8_t>& out);
-  void record_latency(std::uint64_t us);
 
   ClientOptions options_;
   int fd_ = -1;
   std::uint64_t next_id_ = 1;
   ClientStats stats_;
-  static constexpr std::size_t kLatencyBuckets = 48;
-  std::uint64_t latency_[kLatencyBuckets] = {};
-  std::uint64_t latency_count_ = 0;
+  support::LatencyHistogram latency_;
 };
 
 }  // namespace llmp::net

@@ -310,7 +310,7 @@ struct Server::Impl {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) return;  // EAGAIN / transient
       if (Status s = guarded_failpoint("net.conn.accept"); !s.ok()) {
-        accept_faults.fetch_add(1, std::memory_order_relaxed);
+        tallies.add<&ServerStats::accept_faults>();
         ::close(fd);
         continue;
       }
@@ -318,7 +318,7 @@ struct Server::Impl {
       for (const Conn& c : conns) live += c.fd >= 0 ? 1 : 0;
       if (live >= opts.max_connections) {
         ::close(fd);
-        disconnects.fetch_add(1, std::memory_order_relaxed);
+        tallies.add<&ServerStats::disconnects>();
         continue;
       }
       if (Status s = set_nonblocking(fd); !s.ok()) {
@@ -344,7 +344,7 @@ struct Server::Impl {
       c.out.clear();
       c.out_at = 0;
       c.close_after_flush = false;
-      accepted.fetch_add(1, std::memory_order_relaxed);
+      tallies.add<&ServerStats::accepted>();
     }
   }
 
@@ -357,7 +357,7 @@ struct Server::Impl {
     c.in.clear();
     c.out.clear();
     c.out_at = 0;
-    disconnects.fetch_add(1, std::memory_order_relaxed);
+    tallies.add<&ServerStats::disconnects>();
   }
 
   // ---- reading + framing -------------------------------------------------
@@ -365,7 +365,7 @@ struct Server::Impl {
   void handle_readable(std::size_t slot) {
     Conn& c = conns[slot];
     if (Status s = guarded_failpoint("net.conn.read"); !s.ok()) {
-      read_faults.fetch_add(1, std::memory_order_relaxed);
+      tallies.add<&ServerStats::read_faults>();
       close_conn(slot);
       return;
     }
@@ -374,8 +374,7 @@ struct Server::Impl {
       const ssize_t n = ::read(c.fd, buf, sizeof(buf));
       if (n > 0) {
         c.in.insert(c.in.end(), buf, buf + n);
-        bytes_in.fetch_add(static_cast<std::uint64_t>(n),
-                           std::memory_order_relaxed);
+        tallies.add<&ServerStats::bytes_in>(static_cast<std::uint64_t>(n));
         continue;
       }
       if (n == 0) {  // orderly EOF from the peer
@@ -410,7 +409,7 @@ struct Server::Impl {
         // Header-level corruption: the stream cannot be resynchronised.
         // Mark close-after-flush BEFORE sending so the flush inside
         // send_error closes the socket once the error frame drains.
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        tallies.add<&ServerStats::protocol_errors>();
         c.close_after_flush = true;
         send_error(slot, h.tenant, h.request_id,
                    {StatusCode::kInvalidArgument, s.message()});
@@ -429,14 +428,14 @@ struct Server::Impl {
 
   void handle_frame(std::size_t slot, const FrameHeader& h,
                     const std::uint8_t* payload, std::size_t size) {
-    frames_in.fetch_add(1, std::memory_order_relaxed);
+    tallies.add<&ServerStats::frames_in>();
     switch (h.type) {
       case FrameType::kRequest:
         handle_request(slot, h, payload, size);
         return;
       case FrameType::kStatsRequest: {
         if (Status s = decode_stats_request(payload, size); !s.ok()) {
-          protocol_errors.fetch_add(1, std::memory_order_relaxed);
+          tallies.add<&ServerStats::protocol_errors>();
           send_error(slot, h.tenant, h.request_id,
                      {StatusCode::kInvalidArgument, s.message()});
           return;
@@ -449,7 +448,7 @@ struct Server::Impl {
         // sending one is out of protocol — answer and hang up. (Set the
         // flag before sending: the flush inside send_error is what closes
         // the connection once the error frame drains.)
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        tallies.add<&ServerStats::protocol_errors>();
         conns[slot].close_after_flush = true;
         send_error(slot, h.tenant, h.request_id,
                    {StatusCode::kInvalidArgument,
@@ -463,7 +462,7 @@ struct Server::Impl {
     RequestFrame f;
     if (Status s = decode_request(payload, size, &f); !s.ok()) {
       // Payload-level: the stream is still framed; cost one error frame.
-      protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      tallies.add<&ServerStats::protocol_errors>();
       send_error(slot, h.tenant, h.request_id,
                  {StatusCode::kInvalidArgument, s.message()});
       return;
@@ -682,7 +681,7 @@ struct Server::Impl {
         resp.cost_time_p = m.cost.time_p;
         resp.cost_work = m.cost.work;
         encode_response(resp, p.tenant, p.request_id, c.out);
-        frames_out.fetch_add(1, std::memory_order_relaxed);
+        tallies.add<&ServerStats::frames_out>();
         flush(p.slot);
       } else {
         send_error(p.slot, p.tenant, p.request_id,
@@ -698,39 +697,22 @@ struct Server::Impl {
     Conn& c = conns[slot];
     if (c.fd < 0) return;
     encode_error(f, tenant, request_id, c.out);
-    frames_out.fetch_add(1, std::memory_order_relaxed);
+    tallies.add<&ServerStats::frames_out>();
     flush(slot);
   }
 
   void send_stats(std::size_t slot, const FrameHeader& h) {
-    const serve::ServiceStats ss = svc.stats();
-    StatsFrame f;
-    f.submitted = ss.submitted;
-    f.completed = ss.completed;
-    f.ok = ss.ok;
-    f.rejected = ss.rejected;
-    f.expired = ss.expired;
-    f.failed = ss.failed;
-    f.retries = ss.retries;
-    f.restarts = ss.restarts;
-    f.audits_failed = ss.audits_failed;
-    f.repairs = ss.repairs;
-    f.p50_latency_us = ss.p50_latency_us;
-    f.p99_latency_us = ss.p99_latency_us;
-    for (const TenantStats& t : admission.stats()) {
-      StatsFrame::Tenant out;
-      out.tenant = t.tenant;
-      out.admitted = t.admitted;
-      out.rejected_quota = t.rejected_quota;
-      out.rejected_in_flight = t.rejected_in_flight;
-      out.completed = t.completed;
-      out.in_flight = t.in_flight;
-      f.tenants.push_back(out);
-    }
-    Conn& c = conns[slot];
-    encode_stats(f, h.tenant, h.request_id, c.out);
-    frames_out.fetch_add(1, std::memory_order_relaxed);
+    const StatsFrame f{svc.stats(), snapshot()};
+    encode_stats(f, h.tenant, h.request_id, conns[slot].out);
+    tallies.add<&ServerStats::frames_out>();
     flush(slot);
+  }
+
+  ServerStats snapshot() const {
+    ServerStats out;
+    tallies.load_into(out);
+    out.tenants = admission.stats();
+    return out;
   }
 
   /// Write as much of the connection's out buffer as the socket accepts;
@@ -742,7 +724,7 @@ struct Server::Impl {
     if (c.fd < 0) return;
     if (c.out_at < c.out.size()) {
       if (Status s = guarded_failpoint("net.conn.write"); !s.ok()) {
-        write_faults.fetch_add(1, std::memory_order_relaxed);
+        tallies.add<&ServerStats::write_faults>();
         close_conn(slot);
         return;
       }
@@ -755,8 +737,7 @@ struct Server::Impl {
                                c.out.size() - c.out_at, MSG_NOSIGNAL);
       if (n > 0) {
         c.out_at += static_cast<std::size_t>(n);
-        bytes_out.fetch_add(static_cast<std::uint64_t>(n),
-                            std::memory_order_relaxed);
+        tallies.add<&ServerStats::bytes_out>(static_cast<std::uint64_t>(n));
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
@@ -804,18 +785,9 @@ struct Server::Impl {
   std::deque<std::pair<std::uint64_t, std::uint64_t>> cache_order;
   std::size_t cache_bytes = 0;  ///< successor-array bytes the cache pins
 
-  // Counters: relaxed atomics — independent monotonic tallies read by
-  // stats() from other threads, same discipline as ServiceStats.
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> disconnects{0};
-  std::atomic<std::uint64_t> protocol_errors{0};
-  std::atomic<std::uint64_t> frames_in{0};
-  std::atomic<std::uint64_t> frames_out{0};
-  std::atomic<std::uint64_t> bytes_in{0};
-  std::atomic<std::uint64_t> bytes_out{0};
-  std::atomic<std::uint64_t> accept_faults{0};
-  std::atomic<std::uint64_t> read_faults{0};
-  std::atomic<std::uint64_t> write_faults{0};
+  // Counters: one relaxed tally per kServerStatsFields entry, read by
+  // stats() from other threads — same discipline as the Service's.
+  support::Tallies<kServerStatsFields> tallies;
 };
 
 Server::Server(serve::Service& service, ServerOptions options)
@@ -829,21 +801,6 @@ void Server::stop() { impl_->stop(); }
 
 std::uint16_t Server::port() const { return impl_->bound_port; }
 
-ServerStats Server::stats() const {
-  ServerStats out;
-  out.accepted = impl_->accepted.load(std::memory_order_relaxed);
-  out.disconnects = impl_->disconnects.load(std::memory_order_relaxed);
-  out.protocol_errors =
-      impl_->protocol_errors.load(std::memory_order_relaxed);
-  out.frames_in = impl_->frames_in.load(std::memory_order_relaxed);
-  out.frames_out = impl_->frames_out.load(std::memory_order_relaxed);
-  out.bytes_in = impl_->bytes_in.load(std::memory_order_relaxed);
-  out.bytes_out = impl_->bytes_out.load(std::memory_order_relaxed);
-  out.accept_faults = impl_->accept_faults.load(std::memory_order_relaxed);
-  out.read_faults = impl_->read_faults.load(std::memory_order_relaxed);
-  out.write_faults = impl_->write_faults.load(std::memory_order_relaxed);
-  out.tenants = impl_->admission.stats();
-  return out;
-}
+ServerStats Server::stats() const { return impl_->snapshot(); }
 
 }  // namespace llmp::net

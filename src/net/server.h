@@ -45,9 +45,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/admission.h"
+#include "net/stats.h"
 #include "net/wire.h"
 #include "serve/service.h"
 #include "support/status.h"
@@ -80,21 +80,6 @@ struct ServerOptions {
   /// deterministically; production leaves the kernel default.
   int sndbuf_bytes = 0;
   AdmissionOptions admission;
-};
-
-/// Monotonic front-door counters (tenant admission ledger included).
-struct ServerStats {
-  std::uint64_t accepted = 0;         ///< connections accepted
-  std::uint64_t disconnects = 0;      ///< connections closed, any cause
-  std::uint64_t protocol_errors = 0;  ///< malformed headers or payloads
-  std::uint64_t frames_in = 0;
-  std::uint64_t frames_out = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t accept_faults = 0;  ///< net.conn.accept injections
-  std::uint64_t read_faults = 0;    ///< net.conn.read injections
-  std::uint64_t write_faults = 0;   ///< net.conn.write injections
-  std::vector<TenantStats> tenants;
 };
 
 class Server {

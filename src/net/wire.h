@@ -35,12 +35,16 @@
 // StatusCode survives encode/decode (pinned by tests/net_wire_test.cpp).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "net/stats.h"
+#include "serve/stats.h"
 #include "support/check.h"
+#include "support/metrics.h"
 #include "support/status.h"
 #include "support/types.h"
 
@@ -107,31 +111,14 @@ struct ErrorFrame {
   std::string message;
 };
 
-/// Payload of kStats: the serve-layer counters every transport shares,
-/// then the net layer's own per-tenant admission ledger.
+/// Payload of kStats: every field of the serve layer's and the net
+/// layer's stats schemas, tenant ledger included. On the wire each
+/// section is a u32 entry count followed by that many u64 values in its
+/// table's order (serve/stats.h, net/stats.h); no names are sent, because
+/// both ends share the tables.
 struct StatsFrame {
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t audits_failed = 0;
-  std::uint64_t repairs = 0;
-  std::uint64_t p50_latency_us = 0;
-  std::uint64_t p99_latency_us = 0;
-
-  struct Tenant {
-    std::uint32_t tenant = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t rejected_quota = 0;
-    std::uint64_t rejected_in_flight = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t in_flight = 0;
-  };
-  std::vector<Tenant> tenants;
+  serve::ServiceStats service;
+  ServerStats server;
 };
 
 // ---------------------------------------------------------------------------
@@ -346,6 +333,30 @@ void encode_frame(FrameType type, std::uint32_t tenant,
         static_cast<std::uint8_t>(len >> (8 * i));
 }
 
+/// One kStats section: the entry count, then every field in table order.
+template <class Stats, std::size_t N>
+void encode_section(WireWriter& w, const Stats& s,
+                    const std::array<support::StatField<Stats>, N>& table) {
+  w.u32(static_cast<std::uint32_t>(N));
+  for (const auto& field : table) w.u64(s.*field.member);
+}
+
+/// Strict inverse of encode_section: the count must match the table.
+template <class Stats, std::size_t N>
+Status decode_section(WireReader& r, Stats* s,
+                      const std::array<support::StatField<Stats>, N>& table,
+                      const char* what) {
+  std::uint32_t count = 0;
+  if (Status st = r.u32(&count, what); !st.ok()) return st;
+  if (count != N)
+    return Status::invalid_argument(std::string(what) + ": " +
+                                    std::to_string(count) +
+                                    " entries, expected " + std::to_string(N));
+  for (const auto& field : table)
+    if (Status st = r.u64(&(s->*field.member), what); !st.ok()) return st;
+  return {};
+}
+
 }  // namespace detail
 
 /// Encode a request frame, or refuse one whose payload cannot legally
@@ -422,27 +433,11 @@ inline void encode_stats(const StatsFrame& f, std::uint32_t tenant,
                          std::vector<std::uint8_t>& out) {
   detail::encode_frame(
       FrameType::kStats, tenant, request_id, out, [&](WireWriter& w) {
-        w.u64(f.submitted);
-        w.u64(f.completed);
-        w.u64(f.ok);
-        w.u64(f.rejected);
-        w.u64(f.expired);
-        w.u64(f.failed);
-        w.u64(f.retries);
-        w.u64(f.restarts);
-        w.u64(f.audits_failed);
-        w.u64(f.repairs);
-        w.u64(f.p50_latency_us);
-        w.u64(f.p99_latency_us);
-        w.u32(static_cast<std::uint32_t>(f.tenants.size()));
-        for (const StatsFrame::Tenant& t : f.tenants) {
-          w.u32(t.tenant);
-          w.u64(t.admitted);
-          w.u64(t.rejected_quota);
-          w.u64(t.rejected_in_flight);
-          w.u64(t.completed);
-          w.u64(t.in_flight);
-        }
+        detail::encode_section(w, f.service, serve::kServiceStatsFields);
+        detail::encode_section(w, f.server, kServerStatsFields);
+        w.u32(static_cast<std::uint32_t>(f.server.tenants.size()));
+        for (const TenantStats& t : f.server.tenants)
+          detail::encode_section(w, t, kTenantStatsFields);
       });
 }
 
@@ -527,45 +522,28 @@ inline Status decode_stats_request(const std::uint8_t* /*payload*/,
 inline Status decode_stats(const std::uint8_t* payload, std::size_t size,
                            StatsFrame* out) {
   WireReader r(payload, size);
-  if (Status s = r.u64(&out->submitted, "stats submitted"); !s.ok()) return s;
-  if (Status s = r.u64(&out->completed, "stats completed"); !s.ok()) return s;
-  if (Status s = r.u64(&out->ok, "stats ok"); !s.ok()) return s;
-  if (Status s = r.u64(&out->rejected, "stats rejected"); !s.ok()) return s;
-  if (Status s = r.u64(&out->expired, "stats expired"); !s.ok()) return s;
-  if (Status s = r.u64(&out->failed, "stats failed"); !s.ok()) return s;
-  if (Status s = r.u64(&out->retries, "stats retries"); !s.ok()) return s;
-  if (Status s = r.u64(&out->restarts, "stats restarts"); !s.ok()) return s;
-  if (Status s = r.u64(&out->audits_failed, "stats audits failed"); !s.ok())
+  if (Status s = detail::decode_section(r, &out->service,
+                                        serve::kServiceStatsFields,
+                                        "stats service section");
+      !s.ok())
     return s;
-  if (Status s = r.u64(&out->repairs, "stats repairs"); !s.ok()) return s;
-  if (Status s = r.u64(&out->p50_latency_us, "stats p50"); !s.ok()) return s;
-  if (Status s = r.u64(&out->p99_latency_us, "stats p99"); !s.ok()) return s;
+  if (Status s = detail::decode_section(r, &out->server, kServerStatsFields,
+                                        "stats server section");
+      !s.ok())
+    return s;
   std::uint32_t tenants = 0;
   if (Status s = r.u32(&tenants, "stats tenant count"); !s.ok()) return s;
-  // 44 bytes per tenant entry; a count the remaining bytes cannot hold is
-  // a protocol error, not a resize request.
-  if (static_cast<std::uint64_t>(tenants) * 44 != r.remaining())
+  // Every tenant section has one size; a count the remaining bytes cannot
+  // hold is a protocol error, not a resize request.
+  constexpr std::uint64_t kTenantBytes = 4 + 8 * kTenantStatsFields.size();
+  if (static_cast<std::uint64_t>(tenants) * kTenantBytes != r.remaining())
     return Status::invalid_argument("stats tenant count mismatch");
-  out->tenants.clear();
-  out->tenants.reserve(tenants);
-  for (std::uint32_t i = 0; i < tenants; ++i) {
-    StatsFrame::Tenant t;
-    if (Status s = r.u32(&t.tenant, "stats tenant id"); !s.ok()) return s;
-    if (Status s = r.u64(&t.admitted, "stats tenant admitted"); !s.ok())
-      return s;
-    if (Status s = r.u64(&t.rejected_quota, "stats tenant rejected quota");
+  out->server.tenants.assign(tenants, TenantStats{});
+  for (TenantStats& t : out->server.tenants)
+    if (Status s = detail::decode_section(r, &t, kTenantStatsFields,
+                                          "stats tenant section");
         !s.ok())
       return s;
-    if (Status s =
-            r.u64(&t.rejected_in_flight, "stats tenant rejected in-flight");
-        !s.ok())
-      return s;
-    if (Status s = r.u64(&t.completed, "stats tenant completed"); !s.ok())
-      return s;
-    if (Status s = r.u64(&t.in_flight, "stats tenant in-flight"); !s.ok())
-      return s;
-    out->tenants.push_back(t);
-  }
   return r.expect_end("stats frame");
 }
 

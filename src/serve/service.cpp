@@ -1,7 +1,6 @@
 #include "serve/service.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "core/verify.h"
@@ -55,7 +54,7 @@ struct Service::WorkerContext {
   pram::SeqExec exec;
   pram::Context<pram::SeqExec> ctx;
   core::MatchResult scratch;
-  /// Arena counters already published to the Service atomics.
+  /// Arena counters already published to the Service tallies.
   std::uint64_t seen_takes = 0;
   std::uint64_t seen_hits = 0;
 
@@ -107,7 +106,7 @@ std::future<Result<core::MatchResult>> Service::submit(Request req) {
   // on_ready contract is "exactly once per submit, after readiness",
   // whichever path fulfilled the promise.
   auto reject = [this, &req](Status s) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    tallies_.add<&ServiceStats::rejected>();
     std::future<Result<core::MatchResult>> f = ready_error(std::move(s));
     if (req.on_ready) req.on_ready();
     return f;
@@ -156,7 +155,7 @@ std::future<Result<core::MatchResult>> Service::submit(Request req) {
   // future is the one the caller sees.
   const std::function<void()> on_ready = job.req.on_ready;
   auto reject_job = [this, &on_ready](Status s) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    tallies_.add<&ServiceStats::rejected>();
     std::future<Result<core::MatchResult>> f = ready_error(std::move(s));
     if (on_ready) on_ready();
     return f;
@@ -178,7 +177,7 @@ std::future<Result<core::MatchResult>> Service::submit(Request req) {
   if (!accepted) {  // queue closed while we waited / tried
     return reject_job(Status::unavailable("service is shut down"));
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  tallies_.add<&ServiceStats::submitted>();
   return fut;
 }
 
@@ -217,31 +216,24 @@ void Service::shutdown() {
   if (supervisor_.joinable()) supervisor_.join();
 }
 
-void Service::record_latency(std::chrono::steady_clock::time_point enqueued) {
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - enqueued)
-                      .count();
-  const std::uint64_t v = us <= 0 ? 0 : static_cast<std::uint64_t>(us);
-  std::size_t bucket = static_cast<std::size_t>(std::bit_width(v));
-  if (bucket >= kLatencyBuckets) bucket = kLatencyBuckets - 1;
-  latency_[bucket].fetch_add(1, std::memory_order_relaxed);
-}
-
 void Service::finish(Job& job, Result<core::MatchResult> result) {
-  record_latency(job.enqueued);
-  completed_.fetch_add(1, std::memory_order_relaxed);
+  latency_.record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - job.enqueued)
+          .count()));
+  tallies_.add<&ServiceStats::completed>();
   if (result.ok())
-    ok_.fetch_add(1, std::memory_order_relaxed);
+    tallies_.add<&ServiceStats::ok>();
   else
     switch (result.status().code()) {
       case StatusCode::kCancelled:
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
+        tallies_.add<&ServiceStats::cancelled>();
         break;
       case StatusCode::kDeadlineExceeded:
-        expired_.fetch_add(1, std::memory_order_relaxed);
+        tallies_.add<&ServiceStats::expired>();
         break;
       default:
-        failed_.fetch_add(1, std::memory_order_relaxed);
+        tallies_.add<&ServiceStats::failed>();
     }
   job.promise.set_value(std::move(result));
   // Transport completion hook, after readiness (see Request::on_ready).
@@ -259,12 +251,12 @@ void Service::finish_or_retry(Job&& job, Status s) {
     // service gave the request every chance it was configured to.
     if (s.retryable() && retry.max_attempts > 1 &&
         job.attempts >= retry.max_attempts)
-      quarantined_.fetch_add(1, std::memory_order_relaxed);
+      tallies_.add<&ServiceStats::quarantined>();
     finish(job, std::move(s));
     return;
   }
 
-  retries_.fetch_add(1, std::memory_order_relaxed);
+  tallies_.add<&ServiceStats::retries>();
   job.last_error = std::move(s);
 
   // Exponential backoff with deterministic jitter: base * 2^(k-1) clamped
@@ -317,7 +309,7 @@ void Service::maybe_degrade(Job& job) {
   if (degrade) {
     job.resolved = fallback_options_;
     job.degraded = true;
-    degraded_.fetch_add(1, std::memory_order_relaxed);
+    tallies_.add<&ServiceStats::degraded>();
   }
 }
 
@@ -401,14 +393,14 @@ bool Service::process_job(WorkerContext& wc, std::size_t index, Job& job) {
           stabilize::CorruptionReport report = stabilize::audit_matching(
               job.req.list->next_array(), wc.scratch.in_matching);
           if (!report.clean()) {
-            audits_failed_.fetch_add(1, std::memory_order_relaxed);
+            tallies_.add<&ServiceStats::audits_failed>();
             if (policy == AuditPolicy::kRepair) {
               stabilize::repair_matching(wc.ctx, job.req.list->next_array(),
                                          wc.scratch.in_matching);
               report = stabilize::audit_matching(job.req.list->next_array(),
                                                  wc.scratch.in_matching);
               if (report.clean()) {
-                repairs_.fetch_add(1, std::memory_order_relaxed);
+                tallies_.add<&ServiceStats::repairs>();
                 wc.scratch.edges =
                     core::verify::matching_size(wc.scratch.in_matching);
               } else {
@@ -444,8 +436,8 @@ bool Service::process_job(WorkerContext& wc, std::size_t index, Job& job) {
   // state (the arena lives on this thread's stack, not in the Service).
   const std::uint64_t takes = wc.ctx.arena().takes();
   const std::uint64_t hits = wc.ctx.arena().hits();
-  arena_takes_.fetch_add(takes - wc.seen_takes, std::memory_order_relaxed);
-  arena_hits_.fetch_add(hits - wc.seen_hits, std::memory_order_relaxed);
+  tallies_.add<&ServiceStats::arena_takes>(takes - wc.seen_takes);
+  tallies_.add<&ServiceStats::arena_hits>(hits - wc.seen_hits);
   wc.seen_takes = takes;
   wc.seen_hits = hits;
 
@@ -453,7 +445,7 @@ bool Service::process_job(WorkerContext& wc, std::size_t index, Job& job) {
   // readers (chaos_test) sample the counters as soon as every future is
   // ready, so an increment trailing finish() would be a lost update in
   // their eyes. worker_main still does the actual context rebuild.
-  if (escaped) restarts_.fetch_add(1, std::memory_order_relaxed);
+  if (escaped) tallies_.add<&ServiceStats::restarts>();
 
   if (s.ok())
     finish(job, Result<core::MatchResult>(wc.scratch));  // copy out
@@ -475,7 +467,7 @@ void Service::worker_main(std::shared_ptr<Worker> self, std::size_t index) {
     } catch (...) {
       // serve.queue.pop fires before any item is taken, so no request is
       // lost; treat it like any other escape and restart fresh.
-      restarts_.fetch_add(1, std::memory_order_relaxed);
+      tallies_.add<&ServiceStats::restarts>();
       wc = std::make_unique<WorkerContext>(options_.processors);
       continue;
     }
@@ -583,7 +575,7 @@ void Service::watchdog_scan() {
     // thread finishes its request (late), sees retired, and exits; it is
     // joined at shutdown.
     w->slot.retire();
-    watchdog_fires_.fetch_add(1, std::memory_order_relaxed);
+    tallies_.add<&ServiceStats::watchdog_fires>();
     retired_.push_back(std::move(w));
     active_[i] = spawn_worker_locked(i);
   }
@@ -591,75 +583,24 @@ void Service::watchdog_scan() {
 
 ServiceStats Service::stats() const {
   ServiceStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.ok = ok_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.cancelled = cancelled_.load(std::memory_order_relaxed);
-  s.expired = expired_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
-  s.restarts = restarts_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
-  s.quarantined = quarantined_.load(std::memory_order_relaxed);
-  s.degraded = degraded_.load(std::memory_order_relaxed);
-  s.watchdog_fires = watchdog_fires_.load(std::memory_order_relaxed);
-  s.audits_failed = audits_failed_.load(std::memory_order_relaxed);
-  s.repairs = repairs_.load(std::memory_order_relaxed);
+  tallies_.load_into(s);
   s.queue_depth = queue_.size();
   {
     std::lock_guard<Sync::mutex> lock(workers_mu_);
     s.workers = active_.size();
   }
+  s.p50_latency_us = latency_.percentile(0.50);
+  s.p99_latency_us = latency_.percentile(0.99);
   const std::uint64_t allocs = support::scoped_allocs();
   const std::uint64_t base = alloc_baseline_.load(std::memory_order_relaxed);
   s.steady_allocs = allocs >= base ? allocs - base : 0;
-  s.arena_takes = arena_takes_.load(std::memory_order_relaxed);
-  s.arena_hits = arena_hits_.load(std::memory_order_relaxed);
-
-  // Percentiles from the log2 histogram: walk cumulative counts and
-  // report the holding bucket's upper bound (2^bucket microseconds).
-  std::array<std::uint64_t, kLatencyBuckets> h{};
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < kLatencyBuckets; ++i) {
-    h[i] = latency_[i].load(std::memory_order_relaxed);
-    total += h[i];
-  }
-  auto percentile = [&](double q) -> std::uint64_t {
-    if (total == 0) return 0;
-    const std::uint64_t rank =
-        static_cast<std::uint64_t>(q * static_cast<double>(total - 1)) + 1;
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kLatencyBuckets; ++i) {
-      seen += h[i];
-      if (seen >= rank)
-        return i == 0 ? 1 : (std::uint64_t{1} << i);
-    }
-    return std::uint64_t{1} << (kLatencyBuckets - 1);
-  };
-  s.p50_latency_us = percentile(0.50);
-  s.p99_latency_us = percentile(0.99);
   return s;
 }
 
 void Service::reset_stats() {
-  submitted_.store(0, std::memory_order_relaxed);
-  completed_.store(0, std::memory_order_relaxed);
-  ok_.store(0, std::memory_order_relaxed);
-  rejected_.store(0, std::memory_order_relaxed);
-  cancelled_.store(0, std::memory_order_relaxed);
-  expired_.store(0, std::memory_order_relaxed);
-  failed_.store(0, std::memory_order_relaxed);
-  restarts_.store(0, std::memory_order_relaxed);
-  retries_.store(0, std::memory_order_relaxed);
-  quarantined_.store(0, std::memory_order_relaxed);
-  degraded_.store(0, std::memory_order_relaxed);
-  watchdog_fires_.store(0, std::memory_order_relaxed);
-  audits_failed_.store(0, std::memory_order_relaxed);
-  repairs_.store(0, std::memory_order_relaxed);
-  arena_takes_.store(0, std::memory_order_relaxed);
-  arena_hits_.store(0, std::memory_order_relaxed);
+  tallies_.reset();
+  latency_.reset();
   alloc_baseline_.store(support::scoped_allocs(), std::memory_order_relaxed);
-  for (auto& b : latency_) b.store(0, std::memory_order_relaxed);
   for (auto& c : consec_failures_) c.store(0, std::memory_order_relaxed);
   for (auto& p : probe_seq_) p.store(0, std::memory_order_relaxed);
 }

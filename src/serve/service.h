@@ -61,7 +61,7 @@
 // the request's future is ready (lists are immutable after construction,
 // so sharing one list across many in-flight requests is fine). Workers
 // never touch each other's Context; shared mutable state is the queue,
-// the worker table, the retry schedule and the ServiceStats atomics.
+// the worker table, the retry schedule and the stats tallies.
 #pragma once
 
 #include <array>
@@ -83,8 +83,10 @@
 #include "list/linked_list.h"
 #include "serve/queue.h"
 #include "serve/retry_ledger.h"
+#include "serve/stats.h"
 #include "serve/sync_policy.h"
 #include "serve/worker_slot.h"
+#include "support/metrics.h"
 #include "support/status.h"
 
 namespace llmp::serve {
@@ -228,45 +230,6 @@ struct Request {
   std::function<void()> on_ready;
 };
 
-/// One consistent snapshot of service counters (values are monotonically
-/// increasing between reset_stats() calls; queue_depth is instantaneous).
-struct ServiceStats {
-  std::uint64_t submitted = 0;  ///< accepted into the queue
-  std::uint64_t completed = 0;  ///< futures fulfilled
-  std::uint64_t ok = 0;         ///< … with an OK result
-  std::uint64_t rejected = 0;   ///< refused at submit (full/closed/invalid)
-  std::uint64_t cancelled = 0;  ///< failed kCancelled
-  std::uint64_t expired = 0;    ///< failed kDeadlineExceeded
-  std::uint64_t failed = 0;     ///< completed with any other non-OK status
-  // Resilience counters (completed == ok + cancelled + expired + failed
-  // always; the five below classify *how* the service got there).
-  std::uint64_t restarts = 0;       ///< worker contexts rebuilt after escape
-  std::uint64_t retries = 0;        ///< retry attempts scheduled
-  std::uint64_t quarantined = 0;    ///< requests failed after max_attempts
-  std::uint64_t degraded = 0;       ///< requests served via `sequential`
-  std::uint64_t watchdog_fires = 0; ///< wedged workers retired + replaced
-  // Data-healing counters (AuditPolicy; stabilize/audit.h). Every audit
-  // that found corruption is counted in audits_failed; under kRepair the
-  // successfully healed subset lands in repairs too, the rest (plus all
-  // kAudit detections) fail their request kDataLoss.
-  std::uint64_t audits_failed = 0;  ///< result audits that found corruption
-  std::uint64_t repairs = 0;        ///< corrupted results healed in place
-  std::size_t queue_depth = 0;
-  std::size_t workers = 0;          ///< live (non-retired) workers
-  /// End-to-end latency (submit → future ready) percentiles, from a
-  /// log2-bucketed histogram: each reported value is the upper bound of
-  /// the bucket holding that percentile, so it is exact to within 2×.
-  std::uint64_t p50_latency_us = 0;
-  std::uint64_t p99_latency_us = 0;
-  /// Heap allocations inside worker algorithm-execution regions since the
-  /// last reset_stats() — the serve-layer steady-state allocation metric.
-  /// Zero once every worker's arena is warm (in instrumented binaries;
-  /// see support/alloc_counter.h).
-  std::uint64_t steady_allocs = 0;
-  std::uint64_t arena_takes = 0;  ///< scratch leases across all workers
-  std::uint64_t arena_hits = 0;   ///< … satisfied from the pool
-};
-
 class Service {
  public:
   explicit Service(ServiceOptions options = {});
@@ -343,7 +306,6 @@ class Service {
   /// it if it was cancelled / its deadline passed / the queue closed).
   void dispatch_retry(Job&& job);
   void finish(Job& job, Result<core::MatchResult> result);
-  void record_latency(std::chrono::steady_clock::time_point enqueued);
 
   void supervisor_loop();
   void watchdog_scan();
@@ -369,36 +331,18 @@ class Service {
   RetryLedger<Job, Sync> retry_ledger_;
 
   // Degradation tracking, indexed by core::Algorithm.
-  static constexpr std::size_t kAlgos = 6;
-  std::array<Sync::atomic<std::uint32_t>, kAlgos> consec_failures_{};
-  std::array<Sync::atomic<std::uint32_t>, kAlgos> probe_seq_{};
+  std::array<Sync::atomic<std::uint32_t>, core::kAlgorithmCount>
+      consec_failures_{};
+  std::array<Sync::atomic<std::uint32_t>, core::kAlgorithmCount> probe_seq_{};
 
-  // Stats. Plain atomics, every access relaxed: each counter is an
-  // independent monotonic tally and stats() is a monitoring snapshot that
-  // promises no cross-counter consistency — no reader orders other memory
-  // against these, so there is no invariant a stronger order would
-  // protect (memory-order audit, docs/MODELCHECK.md).
-  Sync::atomic<std::uint64_t> submitted_{0};
-  Sync::atomic<std::uint64_t> completed_{0};
-  Sync::atomic<std::uint64_t> ok_{0};
-  Sync::atomic<std::uint64_t> rejected_{0};
-  Sync::atomic<std::uint64_t> cancelled_{0};
-  Sync::atomic<std::uint64_t> expired_{0};
-  Sync::atomic<std::uint64_t> failed_{0};
-  Sync::atomic<std::uint64_t> restarts_{0};
-  Sync::atomic<std::uint64_t> retries_{0};
-  Sync::atomic<std::uint64_t> quarantined_{0};
-  Sync::atomic<std::uint64_t> degraded_{0};
-  Sync::atomic<std::uint64_t> watchdog_fires_{0};
-  Sync::atomic<std::uint64_t> audits_failed_{0};
-  Sync::atomic<std::uint64_t> repairs_{0};
-  Sync::atomic<std::uint64_t> arena_takes_{0};
-  Sync::atomic<std::uint64_t> arena_hits_{0};
+  // Stats: one tally per kServiceStatsFields entry, every access relaxed.
+  // Each is an independent monotonic count and stats() is a monitoring
+  // snapshot that promises no cross-counter consistency — no reader
+  // orders other memory against these, so there is no invariant a
+  // stronger order would protect (memory-order audit, docs/MODELCHECK.md).
+  support::Tallies<kServiceStatsFields, Sync::atomic<std::uint64_t>> tallies_;
   Sync::atomic<std::uint64_t> alloc_baseline_{0};
-  /// Latency histogram: bucket i counts requests with latency in
-  /// (2^(i-1), 2^i] microseconds (bucket 0: <= 1 µs).
-  static constexpr std::size_t kLatencyBuckets = 48;
-  std::array<Sync::atomic<std::uint64_t>, kLatencyBuckets> latency_{};
+  support::LatencyHistogram latency_;  ///< submit → future ready
 };
 
 }  // namespace llmp::serve

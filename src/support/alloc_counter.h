@@ -8,9 +8,9 @@
 // must read zero once every worker's arena is warm.
 //
 // The hook is split so ordinary binaries pay nothing: instrumented
-// binaries (tests/serve_test.cpp, bench/bench_serve_throughput.cpp,
-// tools/llmp_serve.cpp) override global operator new to call note_alloc(),
-// and note_alloc() counts only while an AllocScope is alive on the calling
+// binaries (tests/serve_test.cpp, tools/llmp_serve.cpp) override global
+// operator new to call note_alloc(), and note_alloc() counts only while
+// an AllocScope is alive on the calling
 // thread — the Service wraps exactly the algorithm execution region in one,
 // so per-request envelope traffic (futures, response copies) stays out of
 // the steady-state number. In uninstrumented binaries note_alloc() is never

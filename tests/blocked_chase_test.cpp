@@ -9,6 +9,7 @@
 // chase's own rule under a fixed seed first. Either puts almost the whole
 // list in one segment if the rulers sit where the order expects them.
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +35,11 @@ struct Geometry {
 
 constexpr Geometry kGeometries[] = {{"benchmark", 1u << 15, 512, 8},
                                     {"default", 1u << 17, 4096, 4}};
+
+/// Prints a geometry by name. Without it gtest prints the raw bytes,
+/// whose `name` pointer moves with every load address, so the listed
+/// test names would differ from one run of the binary to the next.
+void PrintTo(const Geometry& g, std::ostream* os) { *os << g.name; }
 
 engine::BlockConfig config_of(const Geometry& g) {
   engine::BlockConfig cfg;

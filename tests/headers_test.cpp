@@ -40,6 +40,7 @@
 #include "net/cli.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/stats.h"
 #include "net/wire.h"
 #include "pram/barrier.h"
 #include "pram/context.h"
@@ -51,11 +52,13 @@
 #include "pram/thread_pool.h"
 #include "serve/queue.h"
 #include "serve/service.h"
+#include "serve/stats.h"
 #include "support/alloc_counter.h"
 #include "support/bits.h"
 #include "support/check.h"
 #include "support/format.h"
 #include "support/itlog.h"
+#include "support/metrics.h"
 #include "support/rng.h"
 #include "support/status.h"
 #include "support/types.h"

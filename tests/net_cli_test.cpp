@@ -1,7 +1,6 @@
-// llmp_serve CLI parsing — pins the namespaced flag vocabulary, every
-// legacy alias, the mutual-exclusion and error paths, and the --help
-// text's coverage of both spellings (the regression gate for flag
-// renames).
+// llmp_serve CLI parsing — pins the namespaced flag vocabulary, the
+// mutual-exclusion and error paths, and the --help text's coverage of
+// every flag (the regression gate for flag renames).
 #include <string>
 #include <vector>
 
@@ -75,23 +74,12 @@ TEST(NetCli, NamespacedFlagsParse) {
   EXPECT_TRUE(opt.csv);
 }
 
-TEST(NetCli, LegacyAliasesStillParseIdentically) {
-  const ServeCliOptions namespaced = parse_ok(
-      {"--serve.requests", "64", "--serve.workers", "2", "--serve.policy",
-       "reject", "--serve.alg", "match2", "--serve.verify",
-       "--fault.retries", "2", "--net.listen", "0"});
-  const ServeCliOptions legacy = parse_ok(
-      {"--requests", "64", "--workers", "2", "--policy", "reject", "--alg",
-       "match2", "--verify", "--retries", "2", "--listen", "0"});
-  EXPECT_EQ(legacy.requests, namespaced.requests);
-  EXPECT_EQ(legacy.service.workers, namespaced.service.workers);
-  EXPECT_EQ(legacy.service.overflow, namespaced.service.overflow);
-  EXPECT_EQ(legacy.alg, namespaced.alg);
-  EXPECT_EQ(legacy.service.verify, namespaced.service.verify);
-  EXPECT_EQ(legacy.service.retry.max_attempts,
-            namespaced.service.retry.max_attempts);
-  EXPECT_EQ(legacy.listen, namespaced.listen);
-  EXPECT_TRUE(legacy.listen);
+TEST(NetCli, LegacySpellingsAreUnknownFlags) {
+  const Status s = parse_err({"--workers", "2"});
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("unknown flag '--workers'"), std::string::npos)
+      << s.message();
 }
 
 TEST(NetCli, NetFlagsParse) {
@@ -158,9 +146,8 @@ TEST(NetCli, HelpFlagShortCircuits) {
   EXPECT_TRUE(help);  // --help wins before the bad flag is reached
 }
 
-TEST(NetCli, UsageTextCoversEveryFlagAndAlias) {
+TEST(NetCli, UsageTextCoversEveryFlag) {
   const std::string usage = serve_cli_usage();
-  // Every namespaced flag appears…
   for (const char* flag :
        {"--serve.requests", "--serve.n", "--serve.lists", "--serve.workers",
         "--serve.queue", "--serve.policy", "--serve.alg",
@@ -171,20 +158,12 @@ TEST(NetCli, UsageTextCoversEveryFlagAndAlias) {
         "--net.tenant", "--net.quota-rps", "--net.quota-burst",
         "--net.max-in-flight", "--csv"})
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
-  // …and every legacy alias is documented next to its new spelling.
-  for (const char* alias :
-       {"[alias: --requests]", "[alias: --n]", "[alias: --lists]",
-        "[alias: --workers]", "[alias: --queue]", "[alias: --policy]",
-        "[alias: --alg]", "[alias: --deadline-ms]", "[alias: --verify]",
-        "[alias: --warmup]", "[alias: --failpoints]", "[alias: --retries]",
-        "[alias: --wedge-ms]", "[alias: --degrade]", "[alias: --listen]"})
-    EXPECT_NE(usage.find(alias), std::string::npos) << alias;
 }
 
 TEST(NetCli, LastValueWinsOnRepeatedFlags) {
   const ServeCliOptions opt =
-      parse_ok({"--serve.requests", "10", "--requests", "99"});
-  EXPECT_EQ(opt.requests, 99u);  // alias and namespaced share one key
+      parse_ok({"--serve.requests", "10", "--serve.requests", "99"});
+  EXPECT_EQ(opt.requests, 99u);
 }
 
 }  // namespace

@@ -225,13 +225,14 @@ TEST(NetServer, StatsFrameReportsServiceAndTenants) {
 
   auto stats = s.client->server_stats();
   ASSERT_TRUE(stats.ok()) << stats.status().to_string();
-  EXPECT_GE(stats->submitted, 10u);
-  EXPECT_GE(stats->ok, 10u);
-  ASSERT_EQ(stats->tenants.size(), 1u);
-  EXPECT_EQ(stats->tenants[0].tenant, 3u);
-  EXPECT_EQ(stats->tenants[0].admitted, 10u);
-  EXPECT_EQ(stats->tenants[0].completed, 10u);
-  EXPECT_EQ(stats->tenants[0].in_flight, 0u);
+  EXPECT_GE(stats->service.submitted, 10u);
+  EXPECT_GE(stats->service.ok, 10u);
+  const std::vector<TenantStats>& tenants = stats->server.tenants;
+  ASSERT_EQ(tenants.size(), 1u);
+  EXPECT_EQ(tenants[0].tenant, 3u);
+  EXPECT_EQ(tenants[0].admitted, 10u);
+  EXPECT_EQ(tenants[0].completed, 10u);
+  EXPECT_EQ(tenants[0].in_flight, 0u);
 }
 
 TEST(NetServer, RateQuotaRejectsOverBudgetDeterministically) {
@@ -494,6 +495,58 @@ class NetChaos : public ::testing::Test {
  protected:
   void TearDown() override { failpoint::disarm_all(); }
 };
+
+TEST_F(NetChaos, EveryCounterCrossesTheWire) {
+  // Retries and repairs on, with faults that exercise both, so the
+  // resilience and data-healing counters are nonzero too.
+  serve::ServiceOptions sopt = service_opts();
+  sopt.retry.max_attempts = 3;
+  sopt.audit = serve::AuditPolicy::kRepair;
+  Stack s(sopt);
+  ASSERT_TRUE(failpoint::arm_from_string(
+                  "serve.worker.run=status(unavailable):n=3;"
+                  "stabilize.corrupt.match=status(data_loss):n=2")
+                  .ok());
+  std::vector<RequestBuilder> batch;
+  for (int i = 0; i < 16; ++i)
+    batch.push_back(RequestBuilder().algorithm("match4").generated(512, 9)
+                        .tenant(static_cast<std::uint32_t>(1 + i % 2)));
+  for (const auto& r : s.client->submit_batch(batch))
+    EXPECT_TRUE(r.ok()) << r.status().to_string();
+  failpoint::disarm_all();
+
+  const std::uint64_t client_bytes_in = s.client->stats().bytes_in;
+  auto wire = s.client->server_stats();
+  ASSERT_TRUE(wire.ok()) << wire.status().to_string();
+  const std::uint64_t stats_frame_bytes =
+      s.client->stats().bytes_in - client_bytes_in;
+  // The server counts the stats frame it sent after taking the snapshot:
+  // one frame out at once, its bytes once the write returns.
+  ServerStats srv = s.server.stats();
+  ASSERT_TRUE(eventually([&] {
+    srv = s.server.stats();
+    return srv.bytes_out == wire->server.bytes_out + stats_frame_bytes;
+  }));
+  const serve::ServiceStats svc = s.svc.stats();
+
+  EXPECT_EQ(svc.retries, 3u);
+  EXPECT_EQ(svc.audits_failed, 2u);
+  EXPECT_EQ(svc.repairs, 2u);
+  for (const auto& f : serve::kServiceStatsFields)
+    EXPECT_EQ(wire->service.*f.member, svc.*f.member) << f.name;
+  for (const auto& f : kServerStatsFields) {
+    std::uint64_t expected = srv.*f.member;
+    if (f.member == &ServerStats::frames_out) expected -= 1;
+    if (f.member == &ServerStats::bytes_out) expected -= stats_frame_bytes;
+    EXPECT_EQ(wire->server.*f.member, expected) << f.name;
+  }
+  ASSERT_EQ(wire->server.tenants.size(), 2u);
+  ASSERT_EQ(srv.tenants.size(), 2u);
+  for (std::size_t t = 0; t < 2; ++t)
+    for (const auto& f : kTenantStatsFields)
+      EXPECT_EQ(wire->server.tenants[t].*f.member, srv.tenants[t].*f.member)
+          << f.name;
+}
 
 TEST_F(NetChaos, AcceptFaultIsCountedAndConnectionRefused) {
   Stack s;

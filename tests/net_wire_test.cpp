@@ -10,7 +10,9 @@
 
 #include "gtest/gtest.h"
 #include "list/generators.h"
+#include "net/stats.h"
 #include "net/wire.h"
+#include "serve/stats.h"
 #include "support/status.h"
 
 namespace llmp::net {
@@ -187,8 +189,10 @@ TEST(NetWire, UnknownWireCodeIsRejectedNotCast) {
 }
 
 TEST(NetWire, ErrorFrameCarryingOkIsRejected) {
-  // Hand-build an error payload with wire code 0 (OK).
+  // Hand-build an error payload with wire code 0 (OK). (Reserved up
+  // front: GCC 12 misreads the growth path here as an overflow.)
   std::vector<std::uint8_t> payload;
+  payload.reserve(16);
   WireWriter w(payload);
   w.u16(0);
   w.str16("not an error");
@@ -196,43 +200,57 @@ TEST(NetWire, ErrorFrameCarryingOkIsRejected) {
   EXPECT_FALSE(decode_error(payload.data(), payload.size(), &d).ok());
 }
 
-TEST(NetWire, StatsRoundTripWithTenants) {
+/// A stats frame with a distinct value in every field of every section,
+/// filled through the tables so a new field is covered without an edit.
+StatsFrame sample_stats(std::size_t tenants) {
   StatsFrame f;
-  f.submitted = 100;
-  f.completed = 90;
-  f.ok = 80;
-  f.rejected = 5;
-  f.expired = 3;
-  f.failed = 2;
-  f.retries = 7;
-  f.restarts = 1;
-  f.audits_failed = 6;
-  f.repairs = 4;
-  f.p50_latency_us = 128;
-  f.p99_latency_us = 4096;
-  f.tenants.push_back({1, 50, 2, 1, 47, 3});
-  f.tenants.push_back({2, 40, 9, 0, 40, 0});
+  std::uint64_t v = 1;
+  for (const auto& field : serve::kServiceStatsFields)
+    f.service.*field.member = v++;
+  for (const auto& field : kServerStatsFields) f.server.*field.member = v++;
+  f.server.tenants.resize(tenants);
+  for (TenantStats& t : f.server.tenants)
+    for (const auto& field : kTenantStatsFields) t.*field.member = v++;
+  return f;
+}
+
+std::vector<std::uint8_t> stats_payload(const StatsFrame& f) {
+  std::vector<std::uint8_t> bytes;
+  encode_stats(f, 0, 5, bytes);
+  return {bytes.begin() + kFrameHeaderBytes, bytes.end()};
+}
+
+/// Payload offsets of the three section kinds' entry counts.
+constexpr std::size_t kServerSectionAt =
+    4 + 8 * serve::kServiceStatsFields.size();
+constexpr std::size_t kTenantCountAt =
+    kServerSectionAt + 4 + 8 * kServerStatsFields.size();
+
+TEST(NetWire, StatsRoundTripWithTenants) {
+  const StatsFrame f = sample_stats(2);
   std::vector<std::uint8_t> bytes;
   encode_stats(f, 0, 5, bytes);
 
   const FrameHeader h = decode_header_ok(bytes);
   EXPECT_EQ(h.type, FrameType::kStats);
+  // Each section is a u32 entry count and its table's u64 values.
+  EXPECT_EQ(h.payload_bytes,
+            kTenantCountAt + 4 + 2 * (4 + 8 * kTenantStatsFields.size()));
   StatsFrame d;
   ASSERT_TRUE(
       decode_stats(bytes.data() + kFrameHeaderBytes, h.payload_bytes, &d)
           .ok());
-  EXPECT_EQ(d.submitted, f.submitted);
-  EXPECT_EQ(d.ok, f.ok);
-  EXPECT_EQ(d.audits_failed, 6u);
-  EXPECT_EQ(d.repairs, 4u);
-  EXPECT_EQ(d.p99_latency_us, f.p99_latency_us);
-  ASSERT_EQ(d.tenants.size(), 2u);
-  EXPECT_EQ(d.tenants[0].tenant, 1u);
-  EXPECT_EQ(d.tenants[0].admitted, 50u);
-  EXPECT_EQ(d.tenants[0].rejected_quota, 2u);
-  EXPECT_EQ(d.tenants[0].rejected_in_flight, 1u);
-  EXPECT_EQ(d.tenants[1].tenant, 2u);
-  EXPECT_EQ(d.tenants[1].rejected_quota, 9u);
+  for (const auto& field : serve::kServiceStatsFields)
+    EXPECT_EQ(d.service.*field.member, f.service.*field.member)
+        << field.name;
+  for (const auto& field : kServerStatsFields)
+    EXPECT_EQ(d.server.*field.member, f.server.*field.member) << field.name;
+  ASSERT_EQ(d.server.tenants.size(), 2u);
+  for (std::size_t t = 0; t < 2; ++t)
+    for (const auto& field : kTenantStatsFields)
+      EXPECT_EQ(d.server.tenants[t].*field.member,
+                f.server.tenants[t].*field.member)
+          << field.name;
 }
 
 TEST(NetWire, StatsRequestMustBeEmpty) {
@@ -372,17 +390,51 @@ TEST(NetWireFuzz, InlineListLengthMismatch) {
 }
 
 TEST(NetWireFuzz, StatsTenantCountMismatch) {
-  StatsFrame f;
-  f.tenants.push_back({1, 2, 3, 4, 5, 6});
-  std::vector<std::uint8_t> bytes;
-  encode_stats(f, 0, 0, bytes);
-  // Bump the tenant count without appending an entry: count lives right
-  // after the twelve u64 service counters (offset 96 in the payload).
-  bytes[kFrameHeaderBytes + 96] = 2;
+  auto payload = stats_payload(sample_stats(1));
+  // Bump the tenant count without appending a tenant section.
+  payload[kTenantCountAt] = 2;
   StatsFrame d;
-  EXPECT_FALSE(decode_stats(bytes.data() + kFrameHeaderBytes,
-                            bytes.size() - kFrameHeaderBytes, &d)
-                   .ok());
+  EXPECT_FALSE(decode_stats(payload.data(), payload.size(), &d).ok());
+}
+
+TEST(NetWireFuzz, StatsEveryStrictPrefixAndATrailingByte) {
+  auto payload = stats_payload(sample_stats(1));
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    StatsFrame d;
+    const Status s = decode_stats(payload.data(), len, &d);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << len;
+  }
+  payload.push_back(0);
+  StatsFrame d;
+  EXPECT_EQ(decode_stats(payload.data(), payload.size(), &d).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(NetWireFuzz, StatsWrongSectionCount) {
+  const auto good = stats_payload(sample_stats(1));
+  // The service, server and tenant sections' entry counts, each off by
+  // one in both directions with the bytes left as they are.
+  for (const std::size_t at : {std::size_t{0}, kServerSectionAt,
+                               kTenantCountAt + 4}) {
+    for (const int delta : {-1, 1}) {
+      auto payload = good;
+      payload[at] = static_cast<std::uint8_t>(payload[at] + delta);
+      StatsFrame d;
+      const Status s = decode_stats(payload.data(), payload.size(), &d);
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << at << delta;
+    }
+  }
+  // A peer whose service table is one entry shorter sends a consistent
+  // frame; the count alone refuses it.
+  std::vector<std::uint8_t> shorter;
+  WireWriter w(shorter);
+  w.u32(static_cast<std::uint32_t>(serve::kServiceStatsFields.size() - 1));
+  shorter.insert(shorter.end(), good.begin() + 4 + 8, good.end());
+  StatsFrame d;
+  const Status s = decode_stats(shorter.data(), shorter.size(), &d);
+  ASSERT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("entries, expected"), std::string::npos)
+      << s.message();
 }
 
 TEST(NetWireFuzz, UnknownListSpec) {

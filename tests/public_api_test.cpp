@@ -138,13 +138,16 @@ TEST(RunEntryPoints, ValidateOptionsFlagsUserErrors) {
 
 TEST(RunEntryPoints, ResolveAlgorithmCoversRegistryAndAliases) {
   apps::register_algorithms();
-  for (const char* name : {"sequential", "seq", "match1", "match2", "match3",
-                           "match4", "match4-table", "randomized", "random"}) {
+  for (const char* name : {"sequential", "match1", "match2", "match3",
+                           "match4", "match4-table", "randomized"}) {
     Result<core::MatchOptions> r = core::resolve_algorithm(name);
     EXPECT_TRUE(r.ok()) << name << ": " << r.status().to_string();
   }
-  EXPECT_EQ(core::resolve_algorithm("match99").status().code(),
-            StatusCode::kNotFound);
+  // Only registry names resolve: the old CLI spellings are gone.
+  for (const char* name : {"match99", "seq", "random"})
+    EXPECT_EQ(core::resolve_algorithm(name).status().code(),
+              StatusCode::kNotFound)
+        << name;
   // Registered but not a matching algorithm: the schedules/apps.
   EXPECT_EQ(core::resolve_algorithm("wyllie-ranking").status().code(),
             StatusCode::kInvalidArgument);

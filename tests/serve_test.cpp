@@ -6,6 +6,7 @@
 // ServiceStats::steady_allocs counts for real. Tests that need a held
 // worker or a full queue use the on_dequeue hook to park workers on a
 // latch — no sleeps-as-synchronization.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -370,6 +371,41 @@ TEST(Serve, DestructorDrains) {
     for (int k = 0; k < 8; ++k) futs.push_back(svc.submit({.list = &lst}));
   }  // ~Service == shutdown(): every future below must be ready and OK
   for (auto& f : futs) EXPECT_TRUE(f.get().ok());
+}
+
+TEST(Serve, WorkerOverlapHidesDownstreamWaits) {
+  // Each request waits on something downstream before it runs — here a
+  // rendezvous that opens only once every worker is waiting at the same
+  // time. A Service whose workers overlap reaches it at once; one that
+  // serializes them reaches the shared deadline instead, so a broken
+  // Service fails this test rather than hanging it.
+  constexpr int kWorkers = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  int parked = 0;       // workers waiting right now
+  int most_parked = 0;  // the most that ever waited at once
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  ServiceOptions opt;
+  opt.workers = kWorkers;
+  opt.on_dequeue = [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    most_parked = std::max(most_parked, ++parked);
+    cv.notify_all();
+    cv.wait_until(lock, deadline, [&] { return most_parked == kWorkers; });
+    --parked;
+  };
+  Service svc(opt);
+  const auto lst = make_list(1000);
+  std::vector<std::future<Result<MatchResult>>> futs;
+  for (int k = 0; k < kWorkers; ++k) {
+    Request req;
+    req.list = &lst;
+    futs.push_back(svc.submit(std::move(req)));
+  }
+  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(most_parked, kWorkers) << "workers waiting at once";
 }
 
 // ---- Stats and the steady-state allocation guarantee. ----------------------

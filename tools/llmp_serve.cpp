@@ -1,7 +1,6 @@
 // llmp_serve — load generator, network server and network client for the
 // serve layer, in one binary. Three modes, chosen by the --net.* flags
-// (src/net/cli.h owns the flag grammar; every pre-namespace flag remains
-// a valid alias):
+// (src/net/cli.h owns the flag grammar):
 //
 //   (default)            classic in-process loop: spin up a Service, fire
 //                        the request stream at it from this thread, print
@@ -109,9 +108,10 @@ int run_listen(const net::ServeCliOptions& opt) {
   const net::ServerStats st = server.stats();
   server.stop();
   svc.shutdown();
-  std::cout << "llmp_serve: shut down; connections " << st.accepted
-            << ", frames in/out " << st.frames_in << "/" << st.frames_out
-            << ", protocol errors " << st.protocol_errors << "\n";
+  std::cout << "llmp_serve: shut down;";
+  for (const auto& f : net::kServerStatsFields)
+    std::cout << ' ' << f.name << '=' << st.*f.member;
+  std::cout << "\n";
   return 0;
 }
 
@@ -251,20 +251,14 @@ int run_in_process(const net::ServeCliOptions& opt) {
       secs > 0 ? static_cast<double>(opt.requests) / secs : 0;
 
   if (opt.csv) {
-    std::cout << "alg,n,workers,queue,requests,ok,rejected,expired,failed,"
-                 "retries,restarts,quarantined,degraded,watchdog_fires,"
-                 "audits_failed,repairs,seconds,rps,p50_us,p99_us,"
-                 "steady_allocs,arena_takes,arena_hits\n"
-              << opt.alg << ',' << opt.n << ',' << opt.service.workers << ','
-              << opt.service.queue_capacity << ',' << opt.requests << ','
-              << got_ok << ',' << st.rejected << ',' << st.expired << ','
-              << st.failed << ',' << st.retries << ',' << st.restarts << ','
-              << st.quarantined << ',' << st.degraded << ','
-              << st.watchdog_fires << ',' << st.audits_failed << ','
-              << st.repairs << ',' << secs << ',' << rps << ','
-              << st.p50_latency_us << ',' << st.p99_latency_us << ','
-              << st.steady_allocs << ',' << st.arena_takes << ','
-              << st.arena_hits << "\n";
+    std::cout << "alg,n,queue,requests,seconds,rps";
+    for (const auto& f : serve::kServiceStatsFields) std::cout << ',' << f.name;
+    std::cout << '\n'
+              << opt.alg << ',' << opt.n << ',' << opt.service.queue_capacity
+              << ',' << opt.requests << ',' << secs << ',' << rps;
+    for (const auto& f : serve::kServiceStatsFields)
+      std::cout << ',' << st.*f.member;
+    std::cout << '\n';
     return 0;
   }
 
@@ -278,24 +272,8 @@ int run_in_process(const net::ServeCliOptions& opt) {
   fmt::Table t({"metric", "value"});
   t.add_row({"throughput (req/s)", fmt::num(static_cast<std::uint64_t>(rps))});
   t.add_row({"wall seconds", std::to_string(secs)});
-  t.add_row({"ok", fmt::num(got_ok)});
-  t.add_row({"completed", fmt::num(st.completed)});
-  t.add_row({"rejected", fmt::num(st.rejected)});
-  t.add_row({"expired", fmt::num(st.expired)});
-  t.add_row({"cancelled", fmt::num(st.cancelled)});
-  t.add_row({"failed", fmt::num(st.failed)});
-  t.add_row({"retries", fmt::num(st.retries)});
-  t.add_row({"worker restarts", fmt::num(st.restarts)});
-  t.add_row({"quarantined", fmt::num(st.quarantined)});
-  t.add_row({"degraded runs", fmt::num(st.degraded)});
-  t.add_row({"watchdog fires", fmt::num(st.watchdog_fires)});
-  t.add_row({"audits failed", fmt::num(st.audits_failed)});
-  t.add_row({"repairs", fmt::num(st.repairs)});
-  t.add_row({"p50 latency (us)", fmt::num(st.p50_latency_us)});
-  t.add_row({"p99 latency (us)", fmt::num(st.p99_latency_us)});
-  t.add_row({"steady-state allocs", fmt::num(st.steady_allocs)});
-  t.add_row({"arena leases", fmt::num(st.arena_takes)});
-  t.add_row({"arena pool hits", fmt::num(st.arena_hits)});
+  for (const auto& f : serve::kServiceStatsFields)
+    t.add_row({f.name, fmt::num(st.*f.member)});
   t.print();
   if (st.steady_allocs != 0)
     std::cout << "\nWARNING: steady-state allocations nonzero — arena pool "
