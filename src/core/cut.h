@@ -38,13 +38,10 @@ struct CutStats {
 
 namespace detail {
 /// Fused step-3 kernel: mark strict-local-minimum cut pointers over
-/// [lo, hi), prefetching the three neighbour-cell chases ahead. The label
-/// type is templated: constant-alphabet labels fit a byte, and the fused
-/// caller narrows them first so the neighbour chases touch an n-byte
-/// array instead of the 8n-byte input.
-template <class LabelT>
+/// [lo, hi), prefetching the three neighbour-cell chases ahead. Labels are
+/// bytes, so the neighbour chases touch an n-byte array.
 inline void cut_mark_span(const index_t* nx, const index_t* pr,
-                          const LabelT* pl, std::uint8_t* cut_flags,
+                          const std::uint8_t* pl, std::uint8_t* cut_flags,
                           std::size_t lo, std::size_t hi) {
   const std::size_t dist =
       static_cast<std::size_t>(pram::tuning().prefetch.distance);
@@ -63,7 +60,7 @@ inline void cut_mark_span(const index_t* nx, const index_t* pr,
     const index_t pv = pr[v];
     if (pv == knil) continue;  // boundary: never cut
     if (nx[nv] == knil) continue;
-    const LabelT here = pl[v];
+    const std::uint8_t here = pl[v];
     if (pl[pv] > here && here < pl[nv]) cut_flags[v] = 1;
   }
 }
@@ -72,10 +69,9 @@ inline void cut_mark_span(const index_t* nx, const index_t* pr,
 /// alternate pointers. Walks may leave the chunk — they only *read* cells
 /// no walker writes this step, and the written cells (in_matching,
 /// run_len) are disjoint per run, so chunked execution stays exact.
-template <class RunT>
 inline void cut_walk_span(const index_t* nx, const index_t* pr,
                           const std::uint8_t* cut_flags,
-                          std::uint8_t* matched, RunT* run_len,
+                          std::uint8_t* matched, std::uint32_t* run_len,
                           std::size_t lo, std::size_t hi,
                           std::size_t max_run) {
   const std::size_t dist =
@@ -101,10 +97,48 @@ inline void cut_walk_span(const index_t* nx, const index_t* pr,
       if (cut_flags[u2]) break;  // run ends
       u = u2;
     }
-    run_len[v] = static_cast<RunT>(len);
+    run_len[v] = static_cast<std::uint32_t>(len);
   }
 }
 }  // namespace detail
+
+/// Fused steps 3–4 over byte labels (every label < alphabet ≤ 256): the
+/// path of every fused backend. Match4 cuts its WalkDown colors here
+/// directly; cut_and_walk narrows wider label arrays into bytes first.
+template <class Exec>
+CutStats cut_and_walk_bytes(Exec& exec, const list::LinkedList& list,
+                            const std::vector<index_t>& pred,
+                            const std::vector<std::uint8_t>& plabel,
+                            label_t alphabet,
+                            std::vector<std::uint8_t>& in_matching) {
+  const std::size_t n = list.size();
+  LLMP_CHECK(plabel.size() == n);
+  LLMP_CHECK(pred.size() == n);
+  LLMP_CHECK(alphabet <= 256);
+  in_matching.assign(n, 0);
+  if (n <= 1) return {};
+  const std::size_t max_run = 2 * static_cast<std::size_t>(alphabet) - 1;
+  const index_t* nx = list.next_array().data();
+  const index_t* pr = pred.data();
+  const std::uint8_t* pl = plabel.data();
+  std::uint8_t* matched = in_matching.data();
+  auto cut_h = pram::scratch<std::uint8_t>(exec, n);
+  auto run_h = pram::scratch<std::uint32_t>(exec, n);  // max_run audit
+  std::uint8_t* cf = cut_h.vec().data();
+  std::uint32_t* rl = run_h.vec().data();
+  exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
+    detail::cut_mark_span(nx, pr, pl, cf, lo, hi);
+  });
+  exec.sweep(n, max_run, [=](std::size_t lo, std::size_t hi) {
+    detail::cut_walk_span(nx, pr, cf, matched, rl, lo, hi, max_run);
+  });
+  CutStats stats;
+  for (index_t v = 0; v < n; ++v) {
+    stats.max_run = std::max(stats.max_run, static_cast<std::size_t>(rl[v]));
+    stats.cuts += cf[v];
+  }
+  return stats;
+}
 
 /// Execute steps 3–4. `alphabet` is an upper bound on plabel values + 1
 /// (6 for the fixed-point labels; 3 for Match4's WalkDown output).
@@ -117,6 +151,21 @@ CutStats cut_and_walk(Exec& exec, const list::LinkedList& list,
   const std::size_t n = list.size();
   LLMP_CHECK(plabel.size() == n);
   LLMP_CHECK(pred.size() == n);
+  if constexpr (pram::has_sweep_v<Exec>) {
+    if (pram::tuning().fused && alphabet <= 256) {
+      // Constant-alphabet labels fit a byte: narrow them so the neighbour
+      // chases touch an n-byte array instead of the 8n-byte input.
+      // Raw pointers: a byte store through a vector could alias its
+      // pointers and stop the loop from vectorizing.
+      auto pl8_h = pram::scratch<std::uint8_t>(exec, n);
+      std::uint8_t* pl8 = pl8_h.vec().data();
+      const label_t* wide = plabel.data();
+      for (std::size_t v = 0; v < n; ++v)
+        pl8[v] = static_cast<std::uint8_t>(wide[v]);
+      return cut_and_walk_bytes(exec, list, pred, pl8_h.vec(), alphabet,
+                                in_matching);
+    }
+  }
   in_matching.assign(n, 0);
   if (n <= 1) return {};
   const auto& next = list.next_array();
@@ -127,44 +176,6 @@ CutStats cut_and_walk(Exec& exec, const list::LinkedList& list,
   auto cut_h = pram::scratch<std::uint8_t>(exec, n);
   std::vector<std::uint8_t>& cut = *cut_h;
   CutStats stats;
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      const index_t* nx = next.data();
-      const index_t* pr = pred.data();
-      std::uint8_t* cf = cut.data();
-      std::uint8_t* matched = in_matching.data();
-      // Runs are bounded by 2·alphabet − 1, so the audit column fits
-      // uint32 comfortably for any alphabet the narrow check below admits
-      // and for the wide fallback alike.
-      auto run32_h = pram::scratch<std::uint32_t>(exec, n);
-      std::vector<std::uint32_t>& run32 = *run32_h;
-      std::uint32_t* rl = run32.data();
-      if (alphabet <= 256) {
-        auto pl8_h = pram::scratch<std::uint8_t>(exec, n);
-        std::uint8_t* pl8 = (*pl8_h).data();
-        const label_t* wide = plabel.data();
-        for (std::size_t v = 0; v < n; ++v)
-          pl8[v] = static_cast<std::uint8_t>(wide[v]);
-        exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
-          detail::cut_mark_span(nx, pr, pl8, cf, lo, hi);
-        });
-      } else {
-        const label_t* pl = plabel.data();
-        exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
-          detail::cut_mark_span(nx, pr, pl, cf, lo, hi);
-        });
-      }
-      exec.sweep(n, max_run, [=](std::size_t lo, std::size_t hi) {
-        detail::cut_walk_span(nx, pr, cf, matched, rl, lo, hi, max_run);
-      });
-      for (index_t v = 0; v < n; ++v) {
-        stats.max_run =
-            std::max(stats.max_run, static_cast<std::size_t>(run32[v]));
-        stats.cuts += cut[v];
-      }
-      return stats;
-    }
-  }
   auto run_len_h = pram::scratch<std::size_t>(exec, n);  // max_run audit
   std::vector<std::size_t>& run_len = *run_len_h;
   exec.step(n, [&](std::size_t v, auto&& m) {

@@ -85,6 +85,39 @@ inline Match4Plan plan_match4(std::size_t n, const Match4Options& opt) {
   return plan;
 }
 
+namespace detail {
+/// Step 5: one step reads each color as a label (kNoColor, the tail's, as
+/// 0), then Match1's cut. Fused backends rewrite the byte colors in place
+/// and cut them as they are; the referees and the EREW variant widen them
+/// into a label array.
+template <class Exec>
+CutStats cut_colors(Exec& exec, const list::LinkedList& list,
+                    const std::vector<index_t>& pred,
+                    std::vector<std::uint8_t>& color, bool erew,
+                    std::vector<std::uint8_t>& in_matching) {
+  const std::size_t n = list.size();
+  if constexpr (pram::has_sweep_v<Exec>) {
+    if (pram::tuning().fused && !erew) {
+      std::uint8_t* c = color.data();
+      exec.sweep(n, 1, [c](std::size_t lo, std::size_t hi) {
+        std::transform(c + lo, c + hi, c + lo, [](std::uint8_t x) {
+          return static_cast<std::uint8_t>(x == kNoColor ? 0 : x);
+        });
+      });
+      return cut_and_walk_bytes(exec, list, pred, color, 3, in_matching);
+    }
+  }
+  auto plabel_h = pram::scratch<label_t>(exec, n);
+  std::vector<label_t>& plabel = *plabel_h;
+  exec.step(n, [&](std::size_t v, auto&& m) {
+    const std::uint8_t c = m.rd(color, v);
+    m.wr(plabel, v, static_cast<label_t>(c == kNoColor ? 0 : c));
+  });
+  return erew ? cut_and_walk_erew(exec, list, pred, plabel, 3, in_matching)
+              : cut_and_walk(exec, list, pred, plabel, 3, in_matching);
+}
+}  // namespace detail
+
 /// In-place entry point; see match1_into. All scratch — predecessors,
 /// labels, the 2D layout, WalkDown state, colors — is leased from the
 /// executor's arena, so warm Context runs allocate nothing.
@@ -171,21 +204,13 @@ void match4_into(Exec& exec, const list::LinkedList& list,
     walkdown1_erew(exec, list, lay, pred, st, color);
     walkdown2_erew(exec, list, lay, pred, st, color);
   } else {
-    walkdown1(exec, list, lay, pred, color);
-    walkdown2(exec, list, lay, pred, color);
+    walkdown(exec, list, lay, pred, color);
   }
   phase("walkdown");
 
   // ---- Step 5: Match1 steps 3–4 on the 3-color labels. -------------------
-  auto plabel_h = pram::scratch<label_t>(exec, n);
-  std::vector<label_t>& plabel = *plabel_h;
-  exec.step(n, [&](std::size_t v, auto&& m) {
-    const std::uint8_t c = m.rd(color, v);
-    m.wr(plabel, v, static_cast<label_t>(c == kNoColor ? 0 : c));
-  });
-  r.cut = eff.erew
-              ? cut_and_walk_erew(exec, list, pred, plabel, 3, r.in_matching)
-              : cut_and_walk(exec, list, pred, plabel, 3, r.in_matching);
+  r.cut = detail::cut_colors(exec, list, pred, color, eff.erew,
+                             r.in_matching);
   phase("cut+walk");
 
   r.edges = 0;

@@ -51,7 +51,8 @@ class MatchDispatcherImpl final : public MatchDispatcher {
 /// The bare WalkDown schedule on a completed partition: reduce labels to
 /// the fixed point, lay the list out in a kFixedPointBound × ceil(n/x)
 /// grid, then run WalkDown1 (inter-row pointers) and WalkDown2 (intra-row
-/// walk). Mirrors match4's steps 2–4 without the final cut.
+/// pointers) — in closed form on the fused backends. Mirrors match4's
+/// steps 2–4 without the final cut.
 template <class Exec>
 void walkdown_schedule(Exec& exec, const list::LinkedList& list, bool erew) {
   const std::size_t n = list.size();
@@ -82,8 +83,7 @@ void walkdown_schedule(Exec& exec, const list::LinkedList& list, bool erew) {
     walkdown1_erew(exec, list, lay, pred, st, color);
     walkdown2_erew(exec, list, lay, pred, st, color);
   } else {
-    walkdown1(exec, list, lay, pred, color);
-    walkdown2(exec, list, lay, pred, color);
+    walkdown(exec, list, lay, pred, color);
   }
 }
 

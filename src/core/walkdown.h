@@ -33,9 +33,21 @@
 // (The paper labels the two phases from separate palettes "with minor
 // adjustment"; the shared palette is the same schedule and is verified by
 // the E7/E8 property tests.)
+//
+// `walkdown` runs both phases. On the fused backends it runs them in
+// closed form: WalkDown1 handles inter-row pointer e_v at step row(v),
+// WalkDown2 handles every cell at step row(v) + key(v) (Lemma 7), so one
+// stable counting sort of the pointers by handling step followed by one
+// visit per pointer in step order gives the walks' colors — n visits in
+// place of x·y + (2x−1)·y strided cell visits. Each step is still one
+// accounted sweep of y processors. The step-by-step walks `walkdown1` and
+// `walkdown2`, (count, index) pair and all, stay as the referee that
+// pram::Machine and SymbolicExec run, and as the source of the Lemma 7
+// trace.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "core/fanout.h"
@@ -83,19 +95,28 @@ Layout2D build_layout(Exec& exec, std::size_t n,
   lay.node_key = pram::scratch<index_t>(exec, n);
   std::copy(keys.begin(), keys.end(), lay.node_key.vec().begin());
 
-  // Per-column histograms, hoisted into one zero-filled lease so the step
-  // body allocates nothing (column j owns slice [j·(rows+1), (j+1)·(rows+1))
-  // — processor-local, hence untracked, exactly like the per-column local
-  // vector it replaces).
-  auto hist_h = pram::scratch<std::size_t>(exec, lay.cols * (rows + 1));
-  std::vector<std::size_t>& hist = *hist_h;
+  // Per-column histograms are processor-local, hence untracked. Every
+  // Match4 plan has rows ≤ 2⌈log2 n⌉ ≤ 64, so a column's histogram fits on
+  // the stack; wider layouts (one column of rows = n) lease one zero-filled
+  // slice per column, [j·(rows+1), (j+1)·(rows+1)). The step body
+  // allocates nothing either way.
+  constexpr std::size_t kStackRows = 64;
+  pram::ScratchVec<std::size_t> wide_h;
+  if (rows > kStackRows)
+    wide_h = pram::scratch<std::size_t>(exec, lay.cols * (rows + 1));
+  std::size_t* wide = wide_h.vec().data();
 
   exec.step(lay.cols, 2 * rows + 2, [&](std::size_t j, auto&& m) {
     const std::size_t lo = j * rows;
     const std::size_t hi = std::min(n, lo + rows);
     // Sequential counting sort of the column's cells by key — processor-
     // local histogram, shared writes only to this column's cells.
-    std::size_t* count = hist.data() + j * (rows + 1);
+    std::size_t local[kStackRows + 1];
+    std::size_t* count = local;
+    if (rows > kStackRows)
+      count = wide + j * (rows + 1);
+    else
+      std::fill(local, local + rows + 1, std::size_t{0});
     for (std::size_t v = lo; v < hi; ++v) {
       const index_t k = m.rd(keys, v);
       LLMP_DCHECK(k < rows);
@@ -112,59 +133,37 @@ Layout2D build_layout(Exec& exec, std::size_t n,
   return lay;
 }
 
-/// Whether pointer e_v is intra-row under the layout. Precondition:
-/// e_v exists (succ_of[v] != knil).
-inline bool is_intra_row(const Layout2D& lay,
-                         const std::vector<index_t>& succ_of, index_t v) {
-  LLMP_DCHECK(v < succ_of.size() && v < lay.node_row.size());
-  LLMP_DCHECK(succ_of[v] < lay.node_row.size());
-  return lay.node_row[v] == lay.node_row[succ_of[v]];
-}
+namespace detail {
+/// Entry (a & 3)·4 + (b & 3): the smallest of {0,1,2} that is neither a
+/// nor b, where kNoColor & 3 == 3 matches no color. Two neighbours exclude
+/// at most two colors, so every entry is a color.
+inline constexpr std::array<std::uint8_t, 16> kFreeColor = [] {
+  std::array<std::uint8_t, 16> t{};
+  for (std::uint8_t a = 0; a < 4; ++a)
+    for (std::uint8_t b = 0; b < 4; ++b) {
+      std::uint8_t c = 0;
+      while (c == a || c == b) ++c;
+      t[a * 4 + b] = c;
+    }
+  return t;
+}();
+}  // namespace detail
 
-/// Greedy color: smallest of {0,1,2} not used by either neighbour pointer.
+/// Greedy color: smallest of {0,1,2} not used by either neighbour pointer
+/// (kNoColor for a pointer not colored yet, or absent).
 inline std::uint8_t smallest_free_color(std::uint8_t a, std::uint8_t b) {
-  for (std::uint8_t c = 0; c < 3; ++c)
-    if (c != a && c != b) return c;
-  LLMP_CHECK_MSG(false, "two neighbours exhausted three colors");
-  return kNoColor;
+  LLMP_DCHECK((a < 3 || a == kNoColor) && (b < 3 || b == kNoColor));
+  return detail::kFreeColor[(a & 3) * 4 + (b & 3)];
 }
 
 /// WalkDown1 (Lemma 6): label every inter-row pointer. x steps of y
-/// processors. `color` must be kNoColor-initialized, size n.
+/// processors, one cell each. `color` must be kNoColor-initialized, size
+/// n. The step-by-step referee of `walkdown`'s first phase.
 template <class Exec>
 void walkdown1(Exec& exec, const list::LinkedList& list, const Layout2D& lay,
                const std::vector<index_t>& pred,
                std::vector<std::uint8_t>& color) {
   const auto& next = list.next_array();
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      const index_t* nx = next.data();
-      const index_t* pr = pred.data();
-      const index_t* cell = lay.cell_node.vec().data();
-      const index_t* rowv = lay.node_row.vec().data();
-      std::uint8_t* col = color.data();
-      const std::size_t rows = lay.rows;
-      const std::size_t dist =
-          static_cast<std::size_t>(pram::tuning().prefetch.distance);
-      for (std::size_t t = 0; t < rows; ++t) {
-        exec.sweep(lay.cols, 1, [=](std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (dist != 0 && j + dist < hi)
-              pram::prefetch_ro(cell + (j + dist) * rows + t);
-            const index_t v = cell[j * rows + t];
-            if (v == knil) continue;  // padding cell
-            const index_t s = nx[v];
-            if (s == knil) continue;  // tail: no pointer
-            if (rowv[v] == rowv[s]) continue;  // intra-row
-            const index_t pv = pr[v];
-            const std::uint8_t before = pv == knil ? kNoColor : col[pv];
-            col[v] = smallest_free_color(before, col[s]);
-          }
-        });
-      }
-      return;
-    }
-  }
   for (std::size_t t = 0; t < lay.rows; ++t) {
     exec.step(lay.cols, [&](std::size_t j, auto&& m) {
       const index_t v = m.rd(lay.cell_node, j * lay.rows + t);
@@ -193,7 +192,8 @@ struct WalkDown2Trace {
 };
 
 /// WalkDown2 (Lemma 7): walk the sorted columns with (count, index),
-/// labeling intra-row pointers. 2x−1 steps of y processors.
+/// labeling intra-row pointers. 2x−1 steps of y processors. The
+/// step-by-step referee of `walkdown`'s second phase.
 template <class Exec>
 WalkDown2Trace walkdown2(Exec& exec, const list::LinkedList& list,
                          const Layout2D& lay,
@@ -211,58 +211,6 @@ WalkDown2Trace walkdown2(Exec& exec, const list::LinkedList& list,
   std::vector<index_t>& count = *count_h;
   std::vector<index_t>& index = *index_h;
 
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      const index_t* nx = next.data();
-      const index_t* pr = pred.data();
-      const index_t* cell = lay.cell_node.vec().data();
-      const index_t* rowv = lay.node_row.vec().data();
-      const index_t* keyv = lay.node_key.vec().data();
-      std::uint8_t* col = color.data();
-      index_t* cnt_a = count.data();
-      index_t* idx_a = index.data();
-      index_t* done = trace.handled_at.vec().data();
-      const std::size_t rows = lay.rows;
-      const std::size_t dist =
-          static_cast<std::size_t>(pram::tuning().prefetch.distance);
-      exec.sweep(lay.cols, 1, [=](std::size_t lo, std::size_t hi) {
-        for (std::size_t j = lo; j < hi; ++j) {
-          cnt_a[j] = 0;
-          idx_a[j] = 0;
-        }
-      });
-      for (std::size_t k = 0; k < total_steps; ++k) {
-        exec.sweep(lay.cols, 1, [=](std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            const index_t idx = idx_a[j];
-            if (idx >= rows) continue;  // column fully walked
-            if (dist != 0 && j + dist < hi && idx_a[j + dist] < rows)
-              pram::prefetch_ro(cell + (j + dist) * rows + idx_a[j + dist]);
-            const index_t v = cell[j * rows + idx];
-            if (v == knil) {  // padding: walk straight past
-              idx_a[j] = static_cast<index_t>(idx + 1);
-              continue;
-            }
-            const index_t cnt = cnt_a[j];
-            if (keyv[v] != cnt) {  // idle in this row, advance the count
-              cnt_a[j] = static_cast<index_t>(cnt + 1);
-              continue;
-            }
-            // "Mark the cell": handle the pointer if it is intra-row.
-            done[v] = static_cast<index_t>(k);
-            const index_t s = nx[v];
-            if (s != knil && rowv[v] == rowv[s]) {
-              const index_t pv = pr[v];
-              const std::uint8_t before = pv == knil ? kNoColor : col[pv];
-              col[v] = smallest_free_color(before, col[s]);
-            }
-            idx_a[j] = static_cast<index_t>(idx + 1);
-          }
-        });
-      }
-      return trace;
-    }
-  }
   exec.step(lay.cols, [&](std::size_t j, auto&& m) {
     m.wr(count, j, index_t{0});
     m.wr(index, j, index_t{0});
@@ -303,6 +251,80 @@ WalkDown2Trace walkdown2(Exec& exec, const list::LinkedList& list,
     });
   }
   return trace;
+}
+
+namespace detail {
+/// Color pointers bucket[from, to), none adjacent to another, from their
+/// neighbour pointers' current colors.
+inline void color_span(const index_t* bucket, const index_t* pr,
+                       const index_t* nx, std::uint8_t* col,
+                       std::size_t from, std::size_t to) {
+  for (std::size_t i = from; i < to; ++i) {
+    const index_t v = bucket[i];
+    const index_t pv = pr[v];
+    col[v] = smallest_free_color(pv == knil ? kNoColor : col[pv], col[nx[v]]);
+  }
+}
+}  // namespace detail
+
+/// WalkDown1 then WalkDown2: color every pointer in 3x steps of y
+/// processors (x for WalkDown1, one that zeroes WalkDown2's (count, index)
+/// pairs, 2x−1 for its walk). `color` must be kNoColor-initialized, size n.
+/// On fused backends step b visits bucket b of the closed form (header):
+/// e_v sits in bucket row(v) if inter-row and x + row(v) + key(v) if
+/// intra-row, and the sweep's column range [lo, hi) takes the slice
+/// [⌊lo·len/y⌋, ⌊hi·len/y⌋) of it, so pooled chunks split it disjointly.
+/// No two pointers in a bucket are adjacent (Lemma 6, Corollary 2), so no
+/// visit reads a color another visit of its step writes.
+template <class Exec>
+void walkdown(Exec& exec, const list::LinkedList& list, const Layout2D& lay,
+              const std::vector<index_t>& pred,
+              std::vector<std::uint8_t>& color) {
+  if constexpr (pram::has_sweep_v<Exec>) {
+    if (pram::tuning().fused) {
+      const std::size_t n = list.size();
+      const std::size_t rows = lay.rows;
+      const std::size_t cols = lay.cols;
+      const std::size_t buckets = 3 * rows - 1;
+      const index_t* nx = list.next_array().data();
+      const index_t* pr = pred.data();
+      const index_t* rowv = lay.node_row.vec().data();
+      const index_t* keyv = lay.node_key.vec().data();
+      std::uint8_t* col = color.data();
+      auto step_of = [=](std::size_t v) -> std::size_t {
+        const index_t r = rowv[v];
+        return r != rowv[nx[v]] ? r : rows + r + keyv[v];
+      };
+      // end[b + 1] counts bucket b, then holds its start; the scatter
+      // advances end[b] to bucket b's end, so bucket b is [end[b−1], end[b]).
+      auto end_h = pram::scratch<index_t>(exec, buckets + 1);
+      index_t* end = end_h.vec().data();
+      for (std::size_t v = 0; v < n; ++v)
+        if (nx[v] != knil) ++end[step_of(v) + 1];
+      for (std::size_t b = 0; b < buckets; ++b) end[b + 1] += end[b];
+      auto order_h = pram::scratch<index_t>(exec, end[buckets]);
+      index_t* order = order_h.vec().data();
+      for (std::size_t v = 0; v < n; ++v)
+        if (nx[v] != knil) order[end[step_of(v)]++] = static_cast<index_t>(v);
+
+      auto handle_step = [&](std::size_t b) {
+        const std::size_t first = b == 0 ? 0 : end[b - 1];
+        const std::size_t len = end[b] - first;
+        const index_t* bucket = order + first;
+        exec.sweep(cols, 1, [=](std::size_t lo, std::size_t hi) {
+          detail::color_span(bucket, pr, nx, col, lo * len / cols,
+                             hi * len / cols);
+        });
+      };
+      for (std::size_t b = 0; b < rows; ++b) handle_step(b);  // WalkDown1
+      // WalkDown2's (count, index) step: the closed form needs no pairs.
+      exec.sweep(cols, 1, [](std::size_t, std::size_t) {});
+      for (std::size_t b = rows; b < buckets; ++b) handle_step(b);
+      return;
+    }
+  }
+  walkdown1(exec, list, lay, pred, color);
+  walkdown2(exec, list, lay, pred, color);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "mc/mc.h"
 #include "mc/scenarios.h"
@@ -54,6 +55,13 @@ struct MutantCase {
   QueueMutation mutation;
   const char* scenario;
 };
+
+/// Prints a case as mutation/scenario. Without it gtest prints the raw
+/// bytes, whose `scenario` pointer moves with every load address, so the
+/// listed test names would differ from one run of the binary to the next.
+void PrintTo(const MutantCase& mc, std::ostream* os) {
+  *os << to_string(mc.mutation) << '/' << mc.scenario;
+}
 
 class MutantTest : public ::testing::TestWithParam<MutantCase> {};
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
+#include <string>
 #include <utility>
 
 #include "core/gather.h"
@@ -14,6 +16,7 @@
 #include "list/generators.h"
 #include "pram/executor.h"
 #include "pram/machine.h"
+#include "pram/thread_pool.h"
 
 namespace llmp::core {
 namespace {
@@ -189,6 +192,120 @@ TEST(WalkDown1, InterRowOnlyListIsFullyLabeledByPhaseOne) {
     plabel[v] = color[v];
   }
   verify::check_pointer_partition(list, plabel);
+}
+
+// ---- the closed form equals the walk --------------------------------------
+
+/// The list shapes the closed-form checks run over.
+std::vector<std::pair<std::string, list::LinkedList>> shapes(std::size_t n) {
+  std::vector<std::pair<std::string, list::LinkedList>> out;
+  out.emplace_back("random", list::generators::random_list(n, 97 + n));
+  out.emplace_back("identity", list::generators::identity_list(n));
+  out.emplace_back("reverse", list::generators::reverse_list(n));
+  std::size_t stride = 7;  // strided_list needs gcd(stride, n) = 1
+  while (std::gcd(stride, n) != 1) --stride;
+  out.emplace_back("strided", list::generators::strided_list(n, stride));
+  out.emplace_back("blocked", list::generators::blocked_list(n, 16, 5 + n));
+  return out;
+}
+
+/// Colors and the (depth, time_p, work) of one WalkDown run.
+struct Colored {
+  std::vector<std::uint8_t> color;
+  pram::Stats cost;
+};
+
+template <class Exec>
+Colored run_walkdown(Exec& exec, const list::LinkedList& lst,
+                     const Layout2D& lay, const std::vector<index_t>& pred,
+                     bool referee) {
+  Colored out;
+  out.color.assign(lst.size(), kNoColor);
+  const pram::Stats start = exec.stats();
+  if (referee) {
+    walkdown1(exec, lst, lay, pred, out.color);
+    walkdown2(exec, lst, lay, pred, out.color);
+  } else {
+    walkdown(exec, lst, lay, pred, out.color);
+  }
+  out.cost = exec.stats() - start;
+  return out;
+}
+
+/// Runs the step-by-step walks on a CREW Machine and the production
+/// `walkdown` on SeqExec and on ParallelExec at several pinned thresholds
+/// (threshold 1 pools every sweep: buckets split across four chunks,
+/// some slices empty, and a layout of fewer columns than chunks leaves
+/// whole chunks idle; cols + 1 runs every sweep inline). Every backend
+/// must give the Machine's colors and its depth, time_p and work.
+void expect_closed_form_matches_walk(const list::LinkedList& lst,
+                                     const std::vector<index_t>& keys,
+                                     std::size_t rows,
+                                     const std::string& what) {
+  const std::size_t n = lst.size();
+  constexpr std::size_t kProcs = 16;
+  pram::SeqExec plain(kProcs);
+  const Layout2D lay = build_layout(plain, n, keys, rows);
+  const auto pred = lst.predecessors();
+  pram::Machine machine(pram::Mode::kCREW, kProcs);
+  const Colored want = run_walkdown(machine, lst, lay, pred, true);
+  auto expect_same = [&](const Colored& got, const std::string& backend) {
+    EXPECT_EQ(got.color, want.color) << what << " on " << backend;
+    EXPECT_EQ(got.cost.depth, want.cost.depth) << what << " on " << backend;
+    EXPECT_EQ(got.cost.time_p, want.cost.time_p) << what << " on " << backend;
+    EXPECT_EQ(got.cost.work, want.cost.work) << what << " on " << backend;
+  };
+  EXPECT_EQ(want.cost.depth, 3 * rows) << what;
+  pram::SeqExec seq(kProcs);
+  expect_same(run_walkdown(seq, lst, lay, pred, false), "SeqExec");
+  static pram::ThreadPool pool(3);
+  for (std::size_t threshold : {std::size_t{1}, std::size_t{2},
+                                lay.cols + 1}) {
+    pram::ParallelExec par(kProcs, pool, threshold);
+    expect_same(run_walkdown(par, lst, lay, pred, false),
+                "ParallelExec threshold " + std::to_string(threshold));
+  }
+}
+
+TEST(WalkDownClosedForm, ColorsAndCostMatchTheMachineWalk) {
+  for (int rounds : {1, 2, 3}) {
+    // One row count x per round count, from the largest list; every
+    // smaller list's keys stay below it, so n = x − 1, x, x + 1 lay out as
+    // one ragged column, one full column and a second one-cell column.
+    const std::size_t x = bound_after_rounds(65537, rounds);
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          x - 1, x, x + 1, std::size_t{513},
+                          std::size_t{4096}, std::size_t{65537}}) {
+      for (auto& [shape, lst] : shapes(n)) {
+        pram::SeqExec exec(8);
+        std::vector<label_t> labels;
+        init_address_labels(exec, n, labels);
+        if (n > 1)  // as in Match4: a lone node keeps its address label
+          relabel_rounds(exec, lst, labels, rounds, BitRule::kMostSignificant);
+        std::vector<index_t> keys(n);
+        for (index_t v = 0; v < n; ++v) {
+          ASSERT_LT(labels[v], x);
+          keys[v] = static_cast<index_t>(labels[v]);
+        }
+        expect_closed_form_matches_walk(
+            lst, keys, x,
+            shape + " n=" + std::to_string(n) +
+                " rounds=" + std::to_string(rounds));
+      }
+    }
+  }
+}
+
+TEST(WalkDownClosedForm, InterRowOnlyLayoutMatchesTheMachineWalk) {
+  // rows = n: one column, every pointer inter-row, WalkDown2 colors
+  // nothing — and the layout's histograms outgrow the stack.
+  for (std::size_t n : {1u, 2u, 3u, 65u, 200u}) {
+    std::vector<index_t> keys(n);
+    for (index_t v = 0; v < n; ++v) keys[v] = v;
+    for (auto& [shape, lst] : shapes(n))
+      expect_closed_form_matches_walk(lst, keys, n,
+                                      shape + " n=" + std::to_string(n));
+  }
 }
 
 }  // namespace

@@ -241,6 +241,8 @@ int run_in_process(const net::ServeCliOptions& opt) {
     futs.push_back(svc.submit(make_request(k)));
   std::uint64_t got_ok = 0;
   for (auto& f : futs) got_ok += f.get().ok() ? 1 : 0;
+  // Both output formats exit 1 unless every request was answered.
+  const int rc = got_ok == opt.requests ? 0 : 1;
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -259,7 +261,7 @@ int run_in_process(const net::ServeCliOptions& opt) {
     for (const auto& f : serve::kServiceStatsFields)
       std::cout << ',' << st.*f.member;
     std::cout << '\n';
-    return 0;
+    return rc;
   }
 
   std::cout << "llmp_serve: " << opt.requests << " x " << opt.alg
@@ -278,7 +280,7 @@ int run_in_process(const net::ServeCliOptions& opt) {
   if (st.steady_allocs != 0)
     std::cout << "\nWARNING: steady-state allocations nonzero — arena pool "
                  "not covering the algorithm path\n";
-  return got_ok == opt.requests ? 0 : 1;
+  return rc;
 }
 
 }  // namespace
