@@ -13,7 +13,7 @@ std::vector<std::uint64_t> sequential_ranking(const list::LinkedList& list) {
   // once the segments know their offsets from the head, one streaming
   // pass turns that into the rank n-1-position.
   std::uint64_t* rk = rank.data();
-  list::RulerWalk walk(n, list.head());
+  list::RulerWalk walk(n, list.head(), list.seed());
   const bool chained =
       walk.walk(
           list.next_array().data(), [](index_t) { return true; },

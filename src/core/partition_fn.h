@@ -275,6 +275,9 @@ template <class Exec>
 void relabel_rounds(Exec& exec, const list::LinkedList& list,
                     std::vector<label_t>& labels, int rounds, BitRule rule,
                     bool labels_are_addresses = false) {
+  // A lone node is its own circular successor and would take kno_label;
+  // like reduce_to_constant, leave a one-node list's label alone.
+  if (list.size() <= 1) return;
   if constexpr (pram::has_sweep_v<Exec>) {
     if (pram::tuning().fused) {
       if (rounds >= 2) {
@@ -326,6 +329,7 @@ void relabel_rounds_erew(Exec& exec, const list::LinkedList& list,
                          const std::vector<index_t>& pred,
                          std::vector<label_t>& labels, int rounds,
                          BitRule rule) {
+  if (list.size() <= 1) return;  // as relabel_rounds
   auto tmp_h = pram::scratch<label_t>(exec, labels.size());
   auto inbox_h = pram::scratch<label_t>(exec, labels.size());
   std::vector<label_t>& tmp = *tmp_h;

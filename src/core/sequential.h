@@ -27,7 +27,7 @@ inline void sequential_matching_into(const list::LinkedList& list,
   r.in_matching.resize(n);
   std::uint8_t* marks = r.in_matching.data();
   const index_t* nx = list.next_array().data();
-  list::RulerWalk walk(n, list.head());
+  list::RulerWalk walk(n, list.head(), list.seed());
   // Mark v when its distance from the ruler has parity `odd` and it has a
   // pointer, pulling the successor's mark cell in ahead of its store.
   const auto mark_at = [marks, n](index_t odd) {

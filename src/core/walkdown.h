@@ -119,7 +119,7 @@ Layout2D build_layout(Exec& exec, std::size_t n,
       std::fill(local, local + rows + 1, std::size_t{0});
     for (std::size_t v = lo; v < hi; ++v) {
       const index_t k = m.rd(keys, v);
-      LLMP_DCHECK(k < rows);
+      LLMP_CHECK(k < rows);  // the histogram has rows + 1 cells
       ++count[k + 1];
     }
     for (std::size_t k = 1; k <= rows; ++k) count[k] += count[k - 1];

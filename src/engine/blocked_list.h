@@ -5,9 +5,8 @@
 // cache_blocks × block_nodes records are in memory at any time however
 // long the list is. init() streams the successor array through the cache
 // once (the ingest pass — a production ingest would stream from a file
-// the same way) and folds it into the list's 64-bit seed on the way;
-// to_flat() streams it back out, which is how tests prove the round trip
-// is lossless.
+// the same way); to_flat() streams it back out, which is how tests prove
+// the round trip is lossless.
 //
 // Beside the static successor, every NodeRec carries what the chase
 // writes there (blocked_match.h): the ruler whose token visited the node
@@ -46,8 +45,6 @@ class BlockedList {
   std::size_t size() const { return n_; }
   index_t head() const { return head_; }
   index_t tail() const { return tail_; }
-  /// A 64-bit digest of the successor array, folded during init().
-  std::uint64_t seed() const { return seed_; }
   list::StoragePolicy storage_policy() const {
     return list::StoragePolicy::kBlocked;
   }
@@ -66,7 +63,6 @@ class BlockedList {
   std::size_t n_ = 0;
   index_t head_ = knil;
   index_t tail_ = knil;
-  std::uint64_t seed_ = 0;
   BlockConfig cfg_;
   CacheScheduler sched_;
   BlockStore<NodeRec> store_;

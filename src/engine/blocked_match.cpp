@@ -14,13 +14,9 @@ Status BlockedMatcher::init(const list::LinkedList& src,
                    ? cfg.mailbox_watermark
                    : static_cast<std::uint64_t>(4 * cfg.block_nodes);
   const std::size_t n = list_.size();
-  rulers_ = {Rulers::shift_for(n, watermark_), list_.seed()};
-  const std::size_t windows = rulers_.windows(n);
-  const index_t head = list_.head();
-  head_entry_ = rulers_.ruler(head >> rulers_.shift) == head
-                    ? head >> rulers_.shift
-                    : static_cast<index_t>(windows);
-  table_.assign(windows + 1, Segment{knil, 0, 0});
+  rulers_ = {list::Rulers::shift_for(n, watermark_), src.seed()};
+  table_.assign(rulers_.windows(n) + 1, {});
+  head_entry_ = rulers_.cut(list_.head(), table_);
   return Status();
 }
 
@@ -33,10 +29,10 @@ void BlockedMatcher::advance(Token t, std::size_t b, NodeRec* recs) {
     const index_t nx = rec.next;
     // Nothing links to the head, so the only rulers a token can meet are
     // window rulers, and a window ruler's entry is its window.
-    const std::uint64_t w = nx >> rulers_.shift;
-    if (nx == knil || rulers_.ruler(w) == nx) {
-      Segment& seg = table_[t.ruler];
-      seg.next = nx == knil ? knil : static_cast<index_t>(w);
+    const index_t w = nx >> rulers_.shift;
+    if (nx == knil || table_[w].ruler == nx) {
+      list::Segment& seg = table_[t.ruler];
+      seg.next = nx == knil ? knil : w;
       seg.length = static_cast<index_t>(t.offset);
       auto& longest = store.stats().longest_segment;
       longest = std::max(longest, t.offset);
@@ -88,11 +84,9 @@ Status BlockedMatcher::resolve_all() {
     if (Status s = store.pin(b, &recs); !s.ok()) return s;
     serve(b, recs);
     for (; w < windows; ++w) {
-      const std::uint64_t r = rulers_.ruler(w);
+      const index_t r = table_[w].ruler;
       if (r >= (b + 1) * bn) break;
-      if (r < n)
-        advance({static_cast<index_t>(r), static_cast<index_t>(w), 0}, b,
-                recs);
+      if (r < n) advance({r, static_cast<index_t>(w), 0}, b, recs);
     }
     if (head_entry_ == windows && store.block_of(head) == b)
       advance({head, head_entry_, 0}, b, recs);
@@ -104,13 +98,7 @@ Status BlockedMatcher::resolve_all() {
     }
   }
   if (Status s = drain_until(0); !s.ok()) return s;
-
-  index_t pos = 0;
-  for (index_t e = head_entry_; e != knil; e = table_[e].next) {
-    table_[e].pos = pos;
-    pos += table_[e].length;
-  }
-  LLMP_DCHECK(pos == n);
+  LLMP_CHECK(list::order(table_, head_entry_, n));  // a chain by construction
   return Status();
 }
 
@@ -130,7 +118,7 @@ Status BlockedMatcher::matching_into(core::MatchResult& r) {
       if (recs[i].next == knil) continue;  // the tail has no pointer
       // Greedy-from-head takes every even-distance pointer.
       const std::uint64_t from_head =
-          table_[recs[i].ruler].pos + recs[i].offset;
+          table_[recs[i].ruler].offset + recs[i].offset;
       if ((from_head & 1) == 0) {
         r.in_matching[base + i] = 1;
         ++r.edges;
@@ -159,7 +147,7 @@ Status BlockedMatcher::ranking_into(std::vector<std::uint64_t>& rank) {
     const std::size_t count = (base + bn <= n) ? bn : n - base;
     LLMP_DCHECK(base + count <= rank.size());
     for (std::size_t i = 0; i < count; ++i)
-      rank[base + i] = last - (table_[recs[i].ruler].pos + recs[i].offset);
+      rank[base + i] = last - (table_[recs[i].ruler].offset + recs[i].offset);
   }
   return Status();
 }

@@ -7,34 +7,33 @@
 
 namespace llmp::list {
 
-Status LinkedList::structure(const std::vector<index_t>& next, index_t& head,
-                             index_t& tail) {
+Status LinkedList::structure(const std::vector<index_t>& next,
+                             LinkedList& into) {
   // One allocation-free ruler walk accepts a chain and finds its ends.
   // Only a rejected array goes to the integrity auditor, whose report
   // names the first divergent node and what is wrong with it
   // (stabilize/audit.h) instead of a bare "invalid list".
-  if (chain_is_clean(next, head, tail)) return {};
+  if (chain_is_clean(next, into.head_, into.tail_, into.seed_)) return {};
   return Status::invalid_argument("invalid successor array — " +
                                   stabilize::audit_structure(next).summary());
 }
 
 LinkedList::LinkedList(std::vector<index_t> next)
     : storage_(std::move(next)) {
-  const Status s = structure(storage_.next_array(), head_, tail_);
+  const Status s = structure(storage_.next_array(), *this);
   LLMP_CHECK_MSG(s.ok(), s.message());
 }
 
 Result<LinkedList> LinkedList::make(std::vector<index_t> next) {
   LinkedList l;
-  if (Status s = structure(next, l.head_, l.tail_); !s.ok())
-    return s;
+  if (Status s = structure(next, l); !s.ok()) return s;
   l.storage_ = FlatStorage(std::move(next));
   return l;
 }
 
 Status LinkedList::validate(const std::vector<index_t>& next) {
-  index_t head = knil, tail = knil;
-  return structure(next, head, tail);
+  LinkedList scratch;
+  return structure(next, scratch);
 }
 
 LinkedList LinkedList::identity(std::size_t n) {

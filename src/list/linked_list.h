@@ -51,6 +51,8 @@ class LinkedList {
 
   index_t head() const { return head_; }
   index_t tail() const { return tail_; }
+  /// The successor array's digest, which seeds its rulers (ruler_walk.h).
+  std::uint64_t seed() const { return seed_; }
 
   /// Successor of v; knil for the tail.
   index_t next(index_t v) const { return storage_.successor(v); }
@@ -77,13 +79,13 @@ class LinkedList {
   LinkedList() = default;
 
   /// The structure check behind the constructor, validate() and make():
-  /// one walk decides, and fills head/tail when it accepts.
-  static Status structure(const std::vector<index_t>& next, index_t& head,
-                          index_t& tail);
+  /// one walk decides, and fills into's head, tail and seed if it accepts.
+  static Status structure(const std::vector<index_t>& next, LinkedList& into);
 
   FlatStorage storage_;
   index_t head_ = knil;
   index_t tail_ = knil;
+  std::uint64_t seed_ = 0;
 };
 
 }  // namespace llmp::list

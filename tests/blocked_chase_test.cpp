@@ -50,7 +50,7 @@ engine::BlockConfig config_of(const Geometry& g) {
 
 /// The window shift the chase picks at the default watermark.
 unsigned shift_of(const Geometry& g) {
-  return engine::Rulers::shift_for(g.n, 4 * g.block_nodes);
+  return list::Rulers::shift_for(g.n, 4 * g.block_nodes);
 }
 
 /// The list that visits `order` front to back.
@@ -88,7 +88,7 @@ list::LinkedList multiples_first(std::size_t n, unsigned t) {
 /// that ignored the list's own seed would meet as the worst case.
 list::LinkedList rulers_first(std::size_t n, unsigned shift,
                               std::uint64_t seed) {
-  const engine::Rulers fixed{shift, seed};
+  const list::Rulers fixed{shift, seed};
   return first_then_rest(
       n, [&](index_t v) { return fixed.ruler(v >> shift) == v; });
 }
@@ -258,7 +258,7 @@ TEST(BlockedChaseEdges, HeadThatIsAndIsNotItsWindowsRuler) {
     const list::LinkedList src = first_list_where(
         n, cfg, [&](const engine::BlockedMatcher& m,
                     const list::LinkedList& l) {
-          const engine::Rulers& r = m.rulers();
+          const list::Rulers& r = m.rulers();
           return (r.ruler(l.head() >> r.shift) == l.head()) == is_ruler;
         });
     engine::BlockConfig tight = cfg;
@@ -279,7 +279,7 @@ TEST(BlockedChaseEdges, PartialLastWindowWhoseRulerFallsPastTheEnd) {
   const list::LinkedList src = first_list_where(
       n, cfg,
       [&](const engine::BlockedMatcher& m, const list::LinkedList&) {
-        const engine::Rulers& r = m.rulers();
+        const list::Rulers& r = m.rulers();
         return r.shift == 7 && r.windows(n) == 33 && r.ruler(32) >= n;
       });
   engine::BlockConfig tight = cfg;

@@ -134,16 +134,21 @@ TEST(LinkedList, OneWalkVerdictMatchesTheAuditorExhaustively) {
 
 TEST(LinkedList, OneWalkVerdictLeavesEndsAloneOnRejection) {
   index_t head = 7, tail = 9;
+  std::uint64_t seed = 11;
   for (const std::vector<index_t>& bad :
        {std::vector<index_t>{}, {1, 0}, {knil, knil}, {2, knil},
         {1, knil, 3, 2}}) {
-    EXPECT_FALSE(chain_is_clean(bad, head, tail)) << show(bad);
+    EXPECT_FALSE(chain_is_clean(bad, head, tail, seed)) << show(bad);
     EXPECT_EQ(head, 7u);
     EXPECT_EQ(tail, 9u);
+    EXPECT_EQ(seed, 11u);
   }
-  EXPECT_TRUE(chain_is_clean({2, knil, 1}, head, tail));
+  const std::vector<index_t> chain{2, knil, 1};
+  EXPECT_TRUE(chain_is_clean(chain, head, tail, seed));
   EXPECT_EQ(head, 0u);
   EXPECT_EQ(tail, 1u);
+  EXPECT_EQ(seed, digest(chain).seed);
+  EXPECT_EQ(seed, LinkedList(chain).seed());
 }
 
 class GeneratorSizes : public ::testing::TestWithParam<std::size_t> {};

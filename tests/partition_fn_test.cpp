@@ -161,6 +161,34 @@ INSTANTIATE_TEST_SUITE_P(Rules, PartitionRule,
                                       : "LSB";
                          });
 
+// A one-node list is its own circular successor, so a relabel round would
+// give its node kno_label, which no layout has a row for. Both drivers
+// leave it alone, as reduce_to_constant does, on every backend.
+TEST(PartitionFn, OneNodeListKeepsLabelZeroThroughBothDrivers) {
+  const auto list = list::generators::identity_list(1);
+  const std::vector<index_t> pred = list.predecessors();
+  for (const BitRule rule :
+       {BitRule::kMostSignificant, BitRule::kLeastSignificant}) {
+    for (const int rounds : {1, 2, 3}) {
+      SCOPED_TRACE("rounds " + std::to_string(rounds));
+      pram::SeqExec seq(8);
+      pram::Machine crew(pram::Mode::kCREW, 8);
+      pram::Machine erew(pram::Mode::kEREW, 8);
+      std::vector<label_t> fused{0}, fused_addresses{0}, machine{0},
+          erew_seq{0}, erew_machine{0};
+      relabel_rounds(seq, list, fused, rounds, rule);
+      relabel_rounds(seq, list, fused_addresses, rounds, rule,
+                     /*labels_are_addresses=*/true);
+      relabel_rounds(crew, list, machine, rounds, rule);
+      relabel_rounds_erew(seq, list, pred, erew_seq, rounds, rule);
+      relabel_rounds_erew(erew, list, pred, erew_machine, rounds, rule);
+      for (const auto* labels :
+           {&fused, &fused_addresses, &machine, &erew_seq, &erew_machine})
+        EXPECT_EQ(*labels, std::vector<label_t>{0});
+    }
+  }
+}
+
 TEST(PartitionFn, MsbRuleMatchesBisectionIntuition) {
   // Fig. 2: for the MSB rule, k = msb(a XOR b) identifies the largest
   // power-of-two boundary ("bisecting line") separating a from b: a and b

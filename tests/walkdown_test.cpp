@@ -173,6 +173,20 @@ TEST(WalkDown, MachineConfirmsCrewLegality) {
   });
 }
 
+// A key of `rows` or more has no histogram cell; the layout rejects it
+// before the write, whether the column histograms sit on the stack
+// (rows <= 64) or in one leased slice per column (rows > 64).
+TEST(Layout2D, KeyEqualToTheRowsIsRejected) {
+  for (const std::size_t rows : {std::size_t{34}, std::size_t{100}}) {
+    const std::size_t n = 3 * rows;
+    std::vector<index_t> keys(n, 0);
+    keys[n / 2] = static_cast<index_t>(rows);
+    pram::SeqExec exec(8);
+    EXPECT_THROW(build_layout(exec, n, keys, rows), check_error)
+        << "rows=" << rows;
+  }
+}
+
 TEST(WalkDown1, InterRowOnlyListIsFullyLabeledByPhaseOne) {
   // Lemma 6's hypothesis: with x = n rows (one column), every pointer is
   // inter-row, and WalkDown1 alone 3-labels the whole list.
