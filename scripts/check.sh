@@ -26,8 +26,9 @@
 #      including the malformed-frame fuzz decode suite in
 #      net_server_test, which is the suite's home turf,
 #   5. the threading tests (thread_pool_test, machine_test, serve_test,
-#      chaos_test, fused_backend_test, net_server_test, metrics_test, and
-#      the LlmpServe exit-code tests, which run the llmp_serve binary)
+#      chaos_test, fused_backend_test, cut_test, net_server_test,
+#      metrics_test, and the LlmpServe exit-code tests, which run the
+#      llmp_serve binary)
 #      under TSan — the chaos storm exercises fault injection, worker
 #      restarts, retries and the watchdog, the net tests the
 #      IO-thread/worker completion handoff, and the metrics tests the
@@ -110,8 +111,8 @@ cmake -B build-tsan -S . \
   -DLLMP_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target thread_pool_test machine_test serve_test chaos_test \
-  fused_backend_test net_server_test metrics_test llmp_serve_tool
+  fused_backend_test cut_test net_server_test metrics_test llmp_serve_tool
 (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-  -R "ThreadPool|Machine|Serve|BoundedQueue|Chaos|FusedBackend|Net|Metrics")
+  -R "ThreadPool|Machine|Serve|BoundedQueue|Chaos|FusedBackend|CutKernel|Net|Metrics")
 
 echo "check.sh: all green"

@@ -16,8 +16,20 @@
 // label sequences over an alphabet of size A, so their length is at most
 // 2A−1: the per-head walk is a bounded sequential subroutine and the step
 // declares that bound as its unit cost.
+//
+// Fused path (cut_and_walk_bytes): labels are bytes, and one byte also
+// says whether a pointer exists — every node with a pointer has a label
+// < alphabet ≤ 255 and the tail has kNoPointer. Step 3 is then
+// branch-free, with two byte gathers per node. Step 4 lists each chunk's
+// run heads branch-free, then walks their runs in kCutLanes interleaved
+// lanes, so the chases of many runs are in flight at once (after the
+// interleaved segment walks of list/ruler_walk.h). Each step is still one
+// accounted sweep, so the cost surface is the step path's; the step
+// bodies stay as the referee pram::Machine and SymbolicExec run.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -36,75 +48,97 @@ struct CutStats {
   std::size_t max_run = 0;  ///< longest sublist walked in step 4
 };
 
+/// The byte a fused cut reads at the tail, where no pointer starts.
+inline constexpr std::uint8_t kNoPointer = 0xFF;
+
 namespace detail {
-/// Fused step-3 kernel: mark strict-local-minimum cut pointers over
-/// [lo, hi), prefetching the three neighbour-cell chases ahead. Labels are
-/// bytes, so the neighbour chases touch an n-byte array.
-inline void cut_mark_span(const index_t* nx, const index_t* pr,
-                          const std::uint8_t* pl, std::uint8_t* cut_flags,
-                          std::size_t lo, std::size_t hi) {
-  const std::size_t dist =
-      static_cast<std::size_t>(pram::tuning().prefetch.distance);
+/// Runs walked side by side by the fused step 4, one hop each per round.
+inline constexpr std::size_t kCutLanes = 16;
+
+/// Fused step-3 kernel over [lo, hi), branch-free: a missing neighbour
+/// reads v's own byte, which fails the strict compare, and the pointer
+/// after e_v exists iff its byte is not kNoPointer. Writes every flag of
+/// the range and returns how many it set.
+inline std::size_t cut_mark_span(const index_t* nx, const index_t* pr,
+                                 const std::uint8_t* pl,
+                                 std::uint8_t* cut_flags, std::size_t lo,
+                                 std::size_t hi) {
+  std::size_t cuts = 0;
   for (std::size_t v = lo; v < hi; ++v) {
-    if (dist != 0 && v + dist < hi) {
-      const index_t pf_n = nx[v + dist];
-      const index_t pf_p = pr[v + dist];
-      if (pf_n != knil) {
-        pram::prefetch_ro(pl + pf_n);
-        pram::prefetch_ro(nx + pf_n);
-      }
-      if (pf_p != knil) pram::prefetch_ro(pl + pf_p);
-    }
     const index_t nv = nx[v];
-    if (nv == knil) continue;  // no pointer e_v
     const index_t pv = pr[v];
-    if (pv == knil) continue;  // boundary: never cut
-    if (nx[nv] == knil) continue;
     const std::uint8_t here = pl[v];
-    if (pl[pv] > here && here < pl[nv]) cut_flags[v] = 1;
+    const std::uint8_t before = pl[pv == knil ? v : pv];
+    const std::uint8_t after = pl[nv == knil ? v : nv];
+    const bool cut =
+        (before > here) & (here < after) & (after != kNoPointer);
+    cut_flags[v] = cut;
+    cuts += cut;
   }
+  return cuts;
 }
 
-/// Fused step-4 kernel: every run head in [lo, hi) walks its run taking
-/// alternate pointers. Walks may leave the chunk — they only *read* cells
-/// no walker writes this step, and the written cells (in_matching,
-/// run_len) are disjoint per run, so chunked execution stays exact.
-inline void cut_walk_span(const index_t* nx, const index_t* pr,
-                          const std::uint8_t* cut_flags,
-                          std::uint8_t* matched, std::uint32_t* run_len,
-                          std::size_t lo, std::size_t hi,
-                          std::size_t max_run) {
-  const std::size_t dist =
-      static_cast<std::size_t>(pram::tuning().prefetch.distance);
+/// Fused step-4 kernel over [lo, hi): list the range's run heads in
+/// heads[lo, lo + k), branch-free, then walk their runs kCutLanes at a
+/// time, taking every pointer at an even position. Returns the longest
+/// run. Walks may leave the range — they only *read* cells no walker
+/// writes this step, and the in_matching cells written are disjoint per
+/// run — so chunked execution stays exact.
+inline std::size_t cut_walk_span(const index_t* nx, const index_t* pr,
+                                 const std::uint8_t* pl,
+                                 const std::uint8_t* cut_flags,
+                                 std::uint8_t* matched, index_t* heads,
+                                 std::size_t lo, std::size_t hi,
+                                 std::size_t max_run) {
+  // A head has a pointer, and its predecessor pointer is absent or cut.
+  index_t* first = heads + lo;
+  std::size_t count = 0;
   for (std::size_t v = lo; v < hi; ++v) {
-    if (dist != 0 && v + dist < hi) {
-      const index_t pf_p = pr[v + dist];
-      if (pf_p != knil) pram::prefetch_ro(cut_flags + pf_p);
-    }
     const index_t pv = pr[v];
-    if (nx[v] == knil) continue;
-    if (pv != knil && !cut_flags[pv]) continue;
-    std::size_t len = 0;
-    bool take = true;
-    index_t u = static_cast<index_t>(v);
-    for (;;) {
-      ++len;
-      LLMP_CHECK_MSG(len <= max_run, "run exceeds 2·alphabet − 1");
-      if (take) matched[u] = 1;
-      take = !take;
-      const index_t u2 = nx[u];
-      if (nx[u2] == knil) break;
-      if (cut_flags[u2]) break;  // run ends
-      u = u2;
-    }
-    run_len[v] = static_cast<std::uint32_t>(len);
+    first[count] = static_cast<index_t>(v);
+    count += (pl[v] != kNoPointer) &
+             ((pv == knil) | (cut_flags[pv == knil ? v : pv] != 0));
   }
+  struct Lane {
+    index_t u;    // node whose pointer is handled next
+    index_t len;  // u's position in its run
+  };
+  Lane lanes[kCutLanes] = {};
+  std::size_t live = std::min(count, kCutLanes);
+  for (std::size_t k = 0; k < live; ++k) lanes[k] = {first[k], 0};
+  std::size_t queued = live;
+  std::size_t longest = 0;
+  while (live != 0) {
+    for (std::size_t k = 0; k < live; ++k) {
+      Lane& lane = lanes[k];
+      const index_t u = lane.u;
+      matched[u] = (lane.len & 1) == 0;
+      ++lane.len;
+      LLMP_CHECK_MSG(lane.len <= max_run, "run exceeds 2·alphabet − 1");
+      const index_t u2 = nx[u];
+      // The run goes on while e_u2 exists and is not cut.
+      if ((pl[u2] != kNoPointer) & (cut_flags[u2] == 0)) {
+        lane.u = u2;
+        continue;
+      }
+      longest = std::max<std::size_t>(longest, lane.len);
+      if (queued < count)
+        lane = {first[queued++], 0};
+      else
+        lane = lanes[--live];
+    }
+  }
+  return longest;
 }
 }  // namespace detail
 
-/// Fused steps 3–4 over byte labels (every label < alphabet ≤ 256): the
-/// path of every fused backend. Match4 cuts its WalkDown colors here
-/// directly; cut_and_walk narrows wider label arrays into bytes first.
+/// Fused steps 3–4 over byte labels: the path of every fused backend.
+/// Every node with a pointer carries a label < alphabet ≤ 255, and the
+/// tail carries kNoPointer, so one byte says whether a pointer exists.
+/// Match4 cuts its WalkDown colors here directly (kNoColor is the tail's
+/// and only its); cut_and_walk narrows wider label arrays into bytes
+/// first. Each pass reduces its count per chunk, so no serial pass
+/// follows them.
 template <class Exec>
 CutStats cut_and_walk_bytes(Exec& exec, const list::LinkedList& list,
                             const std::vector<index_t>& pred,
@@ -114,7 +148,9 @@ CutStats cut_and_walk_bytes(Exec& exec, const list::LinkedList& list,
   const std::size_t n = list.size();
   LLMP_CHECK(plabel.size() == n);
   LLMP_CHECK(pred.size() == n);
-  LLMP_CHECK(alphabet <= 256);
+  LLMP_CHECK(alphabet <= 255);
+  LLMP_CHECK_MSG(n == 0 || plabel[list.tail()] == kNoPointer,
+                 "the tail's label byte must be kNoPointer");
   in_matching.assign(n, 0);
   if (n <= 1) return {};
   const std::size_t max_run = 2 * static_cast<std::size_t>(alphabet) - 1;
@@ -123,21 +159,25 @@ CutStats cut_and_walk_bytes(Exec& exec, const list::LinkedList& list,
   const std::uint8_t* pl = plabel.data();
   std::uint8_t* matched = in_matching.data();
   auto cut_h = pram::scratch<std::uint8_t>(exec, n);
-  auto run_h = pram::scratch<std::uint32_t>(exec, n);  // max_run audit
+  auto heads_h = pram::scratch<index_t>(exec, n);  // each chunk's run heads
   std::uint8_t* cf = cut_h.vec().data();
-  std::uint32_t* rl = run_h.vec().data();
-  exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
-    detail::cut_mark_span(nx, pr, pl, cf, lo, hi);
+  index_t* heads = heads_h.vec().data();
+  std::atomic<std::size_t> cuts{0};
+  std::atomic<std::size_t> longest{0};
+  exec.sweep(n, 1, [=, &cuts](std::size_t lo, std::size_t hi) {
+    cuts.fetch_add(detail::cut_mark_span(nx, pr, pl, cf, lo, hi),
+                   std::memory_order_relaxed);
   });
-  exec.sweep(n, max_run, [=](std::size_t lo, std::size_t hi) {
-    detail::cut_walk_span(nx, pr, cf, matched, rl, lo, hi, max_run);
+  exec.sweep(n, max_run, [=, &longest](std::size_t lo, std::size_t hi) {
+    const std::size_t run = detail::cut_walk_span(nx, pr, pl, cf, matched,
+                                                  heads, lo, hi, max_run);
+    std::size_t seen = longest.load(std::memory_order_relaxed);
+    while (run > seen && !longest.compare_exchange_weak(
+                             seen, run, std::memory_order_relaxed)) {
+    }
   });
-  CutStats stats;
-  for (index_t v = 0; v < n; ++v) {
-    stats.max_run = std::max(stats.max_run, static_cast<std::size_t>(rl[v]));
-    stats.cuts += cf[v];
-  }
-  return stats;
+  return {cuts.load(std::memory_order_relaxed),
+          longest.load(std::memory_order_relaxed)};
 }
 
 /// Execute steps 3–4. `alphabet` is an upper bound on plabel values + 1
@@ -152,9 +192,10 @@ CutStats cut_and_walk(Exec& exec, const list::LinkedList& list,
   LLMP_CHECK(plabel.size() == n);
   LLMP_CHECK(pred.size() == n);
   if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused && alphabet <= 256) {
+    if (pram::tuning().fused && alphabet <= 255) {
       // Constant-alphabet labels fit a byte: narrow them so the neighbour
-      // chases touch an n-byte array instead of the 8n-byte input.
+      // chases touch an n-byte array instead of the 8n-byte input, and
+      // mark the tail, which has no pointer, kNoPointer.
       // Raw pointers: a byte store through a vector could alias its
       // pointers and stop the loop from vectorizing.
       auto pl8_h = pram::scratch<std::uint8_t>(exec, n);
@@ -162,6 +203,7 @@ CutStats cut_and_walk(Exec& exec, const list::LinkedList& list,
       const label_t* wide = plabel.data();
       for (std::size_t v = 0; v < n; ++v)
         pl8[v] = static_cast<std::uint8_t>(wide[v]);
+      if (n != 0) pl8[list.tail()] = kNoPointer;
       return cut_and_walk_bytes(exec, list, pred, pl8_h.vec(), alphabet,
                                 in_matching);
     }

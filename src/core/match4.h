@@ -87,23 +87,20 @@ inline Match4Plan plan_match4(std::size_t n, const Match4Options& opt) {
 
 namespace detail {
 /// Step 5: one step reads each color as a label (kNoColor, the tail's, as
-/// 0), then Match1's cut. Fused backends rewrite the byte colors in place
-/// and cut them as they are; the referees and the EREW variant widen them
-/// into a label array.
+/// 0), then Match1's cut. On fused backends WalkDown has left kNoColor at
+/// the tail and only there, which is the byte cut's kNoPointer, so that
+/// step has nothing to do and the colors are cut as they are; the
+/// referees and the EREW variant widen them into a label array.
 template <class Exec>
 CutStats cut_colors(Exec& exec, const list::LinkedList& list,
                     const std::vector<index_t>& pred,
-                    std::vector<std::uint8_t>& color, bool erew,
+                    const std::vector<std::uint8_t>& color, bool erew,
                     std::vector<std::uint8_t>& in_matching) {
+  static_assert(kNoColor == kNoPointer);
   const std::size_t n = list.size();
   if constexpr (pram::has_sweep_v<Exec>) {
     if (pram::tuning().fused && !erew) {
-      std::uint8_t* c = color.data();
-      exec.sweep(n, 1, [c](std::size_t lo, std::size_t hi) {
-        std::transform(c + lo, c + hi, c + lo, [](std::uint8_t x) {
-          return static_cast<std::uint8_t>(x == kNoColor ? 0 : x);
-        });
-      });
+      exec.sweep(n, 1, [](std::size_t, std::size_t) {});
       return cut_and_walk_bytes(exec, list, pred, color, 3, in_matching);
     }
   }

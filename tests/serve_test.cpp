@@ -435,7 +435,25 @@ TEST(Serve, SteadyStateAllocationsAreZeroAfterWarmup) {
   for (std::uint64_t s = 0; s < 4; ++s) lists.push_back(make_list(3000, s));
   const char* algs[] = {"match1", "match2", "match3", "match4"};
 
-  Service svc({.workers = 2});
+  // Which worker takes which request depends on scheduling, so the
+  // warm-up pairs them: each (algorithm, list) pair the measured phase
+  // sends goes out twice at once, and a worker that dequeues one copy
+  // waits until the other worker has dequeued the other. Every worker
+  // thus runs every pair before the measured phase.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool pairing = true;
+  std::size_t dequeued = 0;
+  ServiceOptions opts;
+  opts.workers = 2;
+  opts.on_dequeue = [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!pairing) return;
+    const std::size_t pair_end = (dequeued++ / 2 + 1) * 2;
+    cv.notify_all();
+    cv.wait(lock, [&] { return dequeued >= pair_end; });
+  };
+  Service svc(opts);
   auto fire = [&](int count) {
     std::vector<std::future<Result<MatchResult>>> futs;
     for (int k = 0; k < count; ++k)
@@ -443,7 +461,20 @@ TEST(Serve, SteadyStateAllocationsAreZeroAfterWarmup) {
                                  .algorithm = algs[k % 4]}));
     for (auto& f : futs) ASSERT_TRUE(f.get().ok());
   };
-  fire(48);  // warm both workers across all four algorithms
+  for (std::size_t k = 0; k < 4; ++k) {
+    Request req;
+    req.list = &lists[k];
+    req.algorithm = algs[k];
+    auto a = svc.submit(req);
+    auto b = svc.submit(req);
+    ASSERT_TRUE(a.get().ok());
+    ASSERT_TRUE(b.get().ok());
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    pairing = false;
+  }
+  fire(48);  // then both workers across all four algorithms, in any order
   svc.reset_stats();
   fire(40);
   const ServiceStats st = svc.stats();

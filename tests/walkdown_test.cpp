@@ -251,7 +251,9 @@ Colored run_walkdown(Exec& exec, const list::LinkedList& lst,
 /// (threshold 1 pools every sweep: buckets split across four chunks,
 /// some slices empty, and a layout of fewer columns than chunks leaves
 /// whole chunks idle; cols + 1 runs every sweep inline). Every backend
-/// must give the Machine's colors and its depth, time_p and work.
+/// must give the Machine's colors and its depth, time_p and work, and
+/// leave the byte cut's contract (core/cut.h): every node with a pointer
+/// has a color < 3, and exactly the tail keeps kNoColor.
 void expect_closed_form_matches_walk(const list::LinkedList& lst,
                                      const std::vector<index_t>& keys,
                                      std::size_t rows,
@@ -268,6 +270,11 @@ void expect_closed_form_matches_walk(const list::LinkedList& lst,
     EXPECT_EQ(got.cost.depth, want.cost.depth) << what << " on " << backend;
     EXPECT_EQ(got.cost.time_p, want.cost.time_p) << what << " on " << backend;
     EXPECT_EQ(got.cost.work, want.cost.work) << what << " on " << backend;
+    std::size_t off_contract = 0;
+    for (index_t v = 0; v < n; ++v)
+      off_contract += v == lst.tail() ? got.color[v] != kNoColor
+                                      : got.color[v] >= 3;
+    EXPECT_EQ(off_contract, 0u) << what << " on " << backend;
   };
   EXPECT_EQ(want.cost.depth, 3 * rows) << what;
   pram::SeqExec seq(kProcs);
