@@ -162,14 +162,12 @@ int run(int argc, char** argv) {
             << n << ", workers=" << workers << "\n\n";
   {
     fmt::Table t({"backend config", "workers", "calibrated_threshold",
-                  "threshold_measured", "simd_level", "prefetch_distance"});
+                  "threshold_measured", "simd_level"});
     const std::size_t thr = calibrated.parallel_threshold();
     t.add_row({"thread", fmt::num(workers),
                thr == pram::kNeverParallel ? "never" : fmt::num(thr),
                fmt::num(calibrated.calibration().measured ? 1 : 0),
-               pram::simd::level_name(pram::simd::active_level()),
-               fmt::num(static_cast<std::uint64_t>(
-                   pram::tuning().prefetch.distance))});
+               pram::simd::level_name(pram::simd::active_level())});
     t.print();
   }
 

@@ -56,8 +56,9 @@ GATE = {
 
 # Counter keys that carry machine-dependent time, not model quantities.
 # calibrated_threshold / threshold_measured come from the adaptive
-# crossover measurement (per-host), prefetch_distance from the
-# environment, ns_per_step from the dispatch micro-bench's wall clock.
+# crossover measurement (per-host), ns_per_step from the dispatch
+# micro-bench's wall clock. prefetch_distance is a column of older
+# captures, taken while the distance was an environment setting.
 VOLATILE_KEYS = {"real_time", "cpu_time", "iterations", "repetitions",
                  "repetition_index", "threads", "calibrated_threshold",
                  "threshold_measured", "prefetch_distance", "ns_per_step"}

@@ -68,8 +68,7 @@ RankingResult wyllie_ranking(Exec& exec, const list::LinkedList& list) {
         index_t s;
         std::uint32_t r;
       };
-      const std::size_t dist =
-          static_cast<std::size_t>(pram::tuning().prefetch.distance);
+      constexpr std::size_t dist = pram::kPrefetchDistance;
       auto pairs_h = pram::scratch<JumpPair>(exec, n);
       auto pairs2_h = pram::scratch<JumpPair>(exec, n);
       JumpPair* cur = (*pairs_h).data();
@@ -92,7 +91,7 @@ RankingResult wyllie_ranking(Exec& exec, const list::LinkedList& list) {
           JumpPair* out = nxt_buf;
           exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
             for (std::size_t v = lo; v < hi; ++v) {
-              if (dist != 0 && v + dist < hi) {
+              if (v + dist < hi) {
                 const index_t pf = jn[v + dist].s;
                 if (pf != knil) pram::prefetch_ro(jn + pf);
               }
@@ -107,7 +106,7 @@ RankingResult wyllie_ranking(Exec& exec, const list::LinkedList& list) {
           // them wide and skip the dead successor column.
           exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
             for (std::size_t v = lo; v < hi; ++v) {
-              if (dist != 0 && v + dist < hi) {
+              if (v + dist < hi) {
                 const index_t pf = jn[v + dist].s;
                 if (pf != knil) pram::prefetch_ro(jn + pf);
               }

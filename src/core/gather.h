@@ -15,14 +15,12 @@
 // iterated matching partition function, so adjacent values differ too.
 #pragma once
 
-#include <algorithm>
 #include <vector>
 
 #include "core/lookup_table.h"
 #include "core/partition_fn.h"
 #include "list/linked_list.h"
 #include "pram/arena.h"
-#include "pram/sweep.h"
 #include "support/itlog.h"
 
 namespace llmp::core {
@@ -34,46 +32,6 @@ inline label_t bound_after_rounds(std::size_t n, int rounds) {
     bound = partition_bound_after(bound);
   return bound;
 }
-
-/// Relabel rounds needed to reach the fixed point (< 6) from addresses
-/// < n — the iteration count of Match1 step 2, Θ(G(n)).
-inline int rounds_to_constant(std::size_t n) {
-  label_t bound = static_cast<label_t>(n);
-  int rounds = 0;
-  while (bound > kFixedPointBound) {
-    bound = partition_bound_after(bound);
-    ++rounds;
-  }
-  return rounds;
-}
-
-namespace detail {
-/// Fused concatenation-jump kernel over [lo, hi): gather the successor
-/// labels and successor-successor pointers (prefetched `dist` ahead), then
-/// concatenate whole blocks through the SIMD shift-or kernel.
-inline void gather_span(const index_t* jn, const label_t* lbl,
-                        label_t* lbl_out, index_t* jn_out, std::size_t lo,
-                        std::size_t hi, int shift) {
-  constexpr std::size_t kBlock = 256;
-  const std::size_t dist =
-      static_cast<std::size_t>(pram::tuning().prefetch.distance);
-  label_t bbuf[kBlock];
-  for (std::size_t base = lo; base < hi; base += kBlock) {
-    const std::size_t len = std::min(kBlock, hi - base);
-    for (std::size_t i = 0; i < len; ++i) {
-      if (dist != 0 && i + dist < len) {
-        const index_t pf = jn[base + i + dist];
-        pram::prefetch_ro(lbl + pf);
-        pram::prefetch_ro(jn + pf);
-      }
-      const index_t s = jn[base + i];
-      bbuf[i] = lbl[s];
-      jn_out[base + i] = jn[s];
-    }
-    pram::simd::concat_pairs(lbl + base, bbuf, lbl_out + base, len, shift);
-  }
-}
-}  // namespace detail
 
 /// Run `jump_rounds` concatenation rounds over b-bit labels (bound 2^b).
 /// labels[v] becomes the b·2^jump_rounds-bit key described above.
@@ -95,33 +53,6 @@ void gather_labels(Exec& exec, const list::LinkedList& list,
   auto lbl2_h = pram::scratch<label_t>(exec, n);
   std::vector<label_t>& lbl2 = *lbl2_h;
 
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      {
-        const index_t* na = next_arr.data();
-        index_t* jn = nxt.data();
-        exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
-          for (std::size_t v = lo; v < hi; ++v) {
-            const index_t s = na[v];
-            jn[v] = s == knil ? head : s;
-          }
-        });
-      }
-      for (int t = 0; t < jump_rounds; ++t) {
-        const int shift = component_bits << t;
-        const index_t* jn = nxt.data();
-        index_t* jn_out = nxt2.data();
-        const label_t* lbl = labels.data();
-        label_t* lbl_out = lbl2.data();
-        exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
-          detail::gather_span(jn, lbl, lbl_out, jn_out, lo, hi, shift);
-        });
-        labels.swap(lbl2);
-        nxt.swap(nxt2);
-      }
-      return;
-    }
-  }
   exec.step(n, [&](std::size_t v, auto&& m) {
     const index_t s = m.rd(next_arr, v);
     m.wr(nxt, v, s == knil ? head : s);
@@ -145,22 +76,6 @@ template <class Exec>
 void lookup_labels(Exec& exec, const MatchingLookupTable& table,
                    std::vector<label_t>& labels) {
   const std::size_t n = labels.size();
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      label_t* lb = labels.data();
-      const std::uint8_t* cells = table.raw();
-      const std::size_t dist =
-          static_cast<std::size_t>(pram::tuning().prefetch.distance);
-      exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
-        for (std::size_t v = lo; v < hi; ++v) {
-          if (dist != 0 && v + dist < hi)
-            pram::prefetch_ro(cells + lb[v + dist]);
-          lb[v] = cells[lb[v]];
-        }
-      });
-      return;
-    }
-  }
   exec.step(n, [&](std::size_t v, auto&& m) {
     m.wr(labels, v, table.value(m.rd(labels, v)));
   });

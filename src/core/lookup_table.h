@@ -57,10 +57,6 @@ class MatchingLookupTable {
     return table_[static_cast<std::size_t>(key)];
   }
 
-  /// Raw cell storage (cells() entries) — lets fused sweeps prefetch the
-  /// probe target ahead of the dependent load (core/gather.h).
-  const std::uint8_t* raw() const { return table_.data(); }
-
   int component_bits() const { return component_bits_; }
   int tuple_width() const { return tuple_width_; }
   int collapse_width() const { return collapse_width_; }

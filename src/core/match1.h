@@ -11,9 +11,6 @@
 // (Match3 and Match4 call steps 3–4 verbatim via cut.h).
 #pragma once
 
-#include <chrono>
-#include <string>
-
 #include "core/cut.h"
 #include "core/match_result.h"
 #include "core/partition_fn.h"
@@ -34,26 +31,13 @@ struct Match1Options {
 template <class Exec>
 void match1_into(Exec& exec, const list::LinkedList& list,
                  const Match1Options& opt, MatchResult& r) {
-  r.reset();
+  PhaseClock clock(exec, r);
   const std::size_t n = list.size();
-  const pram::Stats start = exec.stats();
-  pram::Stats mark = start;
-  auto wall_mark = std::chrono::steady_clock::now();
-  auto phase = [&](const std::string& name) {
-    const pram::Stats delta = exec.stats() - mark;
-    const auto now = std::chrono::steady_clock::now();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(now - wall_mark).count();
-    r.phases.push_back({name, delta, wall_ms});
-    pram::note_phase(exec, name, delta, wall_ms);
-    mark = exec.stats();
-    wall_mark = now;
-  };
 
   auto pred_h = pram::scratch<index_t>(exec, n);
   std::vector<index_t>& pred = *pred_h;
   parallel_predecessors_into(exec, list, pred);
-  phase("pred");
+  clock.phase("pred");
 
   auto labels_h = pram::scratch<label_t>(exec, n);
   std::vector<label_t>& labels = *labels_h;
@@ -63,18 +47,16 @@ void match1_into(Exec& exec, const list::LinkedList& list,
                : reduce_to_constant(exec, list, labels, opt.rule,
                                     /*labels_are_addresses=*/true);
   r.partition_sets = distinct_labels(labels);
-  phase("reduce");
+  clock.phase("reduce");
 
   r.cut = opt.erew
               ? cut_and_walk_erew(exec, list, pred, labels, kFixedPointBound,
                                   r.in_matching)
               : cut_and_walk(exec, list, pred, labels, kFixedPointBound,
                              r.in_matching);
-  phase("cut+walk");
+  clock.phase("cut+walk");
 
-  r.edges = 0;
-  for (auto b : r.in_matching) r.edges += (b != 0);
-  r.cost = exec.stats() - start;
+  clock.finish();
 }
 
 template <class Exec>

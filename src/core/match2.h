@@ -18,8 +18,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
-#include <string>
 
 #include "core/match_result.h"
 #include "core/partition_fn.h"
@@ -85,21 +83,8 @@ inline Match2Plan plan_match2(std::size_t n, const Match2Options& opt,
 template <class Exec>
 void match2_into(Exec& exec, const list::LinkedList& list,
                  const Match2Options& opt, MatchResult& r) {
-  r.reset();
+  PhaseClock clock(exec, r);
   const std::size_t n = list.size();
-  const pram::Stats start = exec.stats();
-  pram::Stats mark = start;
-  auto wall_mark = std::chrono::steady_clock::now();
-  auto phase = [&](const std::string& name) {
-    const pram::Stats delta = exec.stats() - mark;
-    const auto now = std::chrono::steady_clock::now();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(now - wall_mark).count();
-    r.phases.push_back({name, delta, wall_ms});
-    pram::note_phase(exec, name, delta, wall_ms);
-    mark = exec.stats();
-    wall_mark = now;
-  };
 
   const Match2Plan plan = plan_match2(n, opt, exec.processors());
 
@@ -121,7 +106,7 @@ void match2_into(Exec& exec, const list::LinkedList& list,
   }
   r.relabel_rounds = opt.partition_rounds;
   r.partition_sets = distinct_labels(labels);
-  phase("partition");
+  clock.phase("partition");
 
   // Step 2: global sort of pointers by set number, into arena-leased
   // buffers pre-sized from the plan. (The tail has no real pointer; it is
@@ -139,7 +124,7 @@ void match2_into(Exec& exec, const list::LinkedList& list,
   std::vector<std::uint64_t>& offsets = *offsets_h;
   pram::counting_sort_by_key_into(exec, keys, range, plan.blocks, order,
                                   offsets);
-  phase("sort");
+  clock.phase("sort");
 
   // Step 3: process the sets one by one.
   const auto& next = list.next_array();
@@ -166,11 +151,9 @@ void match2_into(Exec& exec, const list::LinkedList& list,
       m.wr(r.in_matching, static_cast<std::size_t>(v), std::uint8_t{1});
     });
   }
-  phase("sweep");
+  clock.phase("sweep");
 
-  r.edges = 0;
-  for (auto b : r.in_matching) r.edges += (b != 0);
-  r.cost = exec.stats() - start;
+  clock.finish();
 }
 
 template <class Exec>

@@ -16,9 +16,7 @@
 // paper counts it separately; E11 measures it).
 #pragma once
 
-#include <chrono>
 #include <memory>
-#include <string>
 
 #include "core/cut.h"
 #include "core/gather.h"
@@ -102,21 +100,8 @@ inline Match3Plan plan_match3(std::size_t n, const Match3Options& opt) {
 template <class Exec>
 void match3_into(Exec& exec, const list::LinkedList& list,
                  const Match3Options& opt, MatchResult& r) {
-  r.reset();
+  PhaseClock clock(exec, r);
   const std::size_t n = list.size();
-  const pram::Stats start = exec.stats();
-  pram::Stats mark = start;
-  auto wall_mark = std::chrono::steady_clock::now();
-  auto phase = [&](const std::string& name) {
-    const pram::Stats delta = exec.stats() - mark;
-    const auto now = std::chrono::steady_clock::now();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(now - wall_mark).count();
-    r.phases.push_back({name, delta, wall_ms});
-    pram::note_phase(exec, name, delta, wall_ms);
-    mark = exec.stats();
-    wall_mark = now;
-  };
 
   const Match3Plan plan = plan_match3(n, opt);
   r.relabel_rounds = plan.crunch_rounds;
@@ -129,7 +114,7 @@ void match3_into(Exec& exec, const list::LinkedList& list,
   if (n > 1)
     relabel_rounds(exec, list, labels, plan.crunch_rounds, opt.rule,
                    /*labels_are_addresses=*/true);
-  phase("crunch");
+  clock.phase("crunch");
 
   // Steps 3–4: concatenate and probe (table construction is
   // preprocessing, not counted in the algorithm's phases; E11 reports it —
@@ -147,7 +132,7 @@ void match3_into(Exec& exec, const list::LinkedList& list,
     lookup_labels(exec, table, labels);
   }
   r.partition_sets = distinct_labels(labels);
-  phase("gather+lookup");
+  clock.phase("gather+lookup");
 
   // Steps 5–6 = Match1 steps 3–4.
   auto pred_h = pram::scratch<index_t>(exec, n);
@@ -155,11 +140,9 @@ void match3_into(Exec& exec, const list::LinkedList& list,
   parallel_predecessors_into(exec, list, pred);
   r.cut = cut_and_walk(exec, list, pred, labels, kFixedPointBound,
                        r.in_matching);
-  phase("cut+walk");
+  clock.phase("cut+walk");
 
-  r.edges = 0;
-  for (auto b : r.in_matching) r.edges += (b != 0);
-  r.cost = exec.stats() - start;
+  clock.finish();
 }
 
 template <class Exec>

@@ -17,8 +17,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
-#include <string>
 
 #include "core/cut.h"
 #include "core/gather.h"
@@ -121,21 +119,8 @@ CutStats cut_colors(Exec& exec, const list::LinkedList& list,
 template <class Exec>
 void match4_into(Exec& exec, const list::LinkedList& list,
                  const Match4Options& opt, MatchResult& r) {
-  r.reset();
+  PhaseClock clock(exec, r);
   const std::size_t n = list.size();
-  const pram::Stats start = exec.stats();
-  pram::Stats mark = start;
-  auto wall_mark = std::chrono::steady_clock::now();
-  auto phase = [&](const std::string& name) {
-    const pram::Stats delta = exec.stats() - mark;
-    const auto now = std::chrono::steady_clock::now();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(now - wall_mark).count();
-    r.phases.push_back({name, delta, wall_ms});
-    pram::note_phase(exec, name, delta, wall_ms);
-    mark = exec.stats();
-    wall_mark = now;
-  };
 
   Match4Options eff = opt;
   if (eff.erew) eff.partition_with_table = false;
@@ -178,41 +163,25 @@ void match4_into(Exec& exec, const list::LinkedList& list,
     bound = 1;
   }
   r.partition_sets = distinct_labels(labels);
-  phase("partition");
+  clock.phase("partition");
 
   // ---- Step 2: 2D layout, per-column sequential sorts. -------------------
   // Rows x = the set-number bound, so every key fits a row; columns
   // y = ceil(n/x), one processor each.
-  auto keys_h = pram::scratch<index_t>(exec, n);
-  std::vector<index_t>& keys = *keys_h;
-  exec.step(n, [&](std::size_t v, auto&& m) {
-    m.wr(keys, v, static_cast<index_t>(m.rd(labels, v)));
-  });
-  Layout2D lay =
-      build_layout(exec, n, keys, static_cast<std::size_t>(bound));
-  phase("column-sort");
+  const Layout2D lay =
+      sort_columns(exec, labels, static_cast<std::size_t>(bound));
+  clock.phase("column-sort");
 
   // ---- Steps 3–4: the WalkDown schedule. ---------------------------------
-  auto color_h = pram::scratch<std::uint8_t>(exec, n);
-  std::vector<std::uint8_t>& color = *color_h;
-  exec.step(n, [&](std::size_t v, auto&& m) { m.wr(color, v, kNoColor); });
-  if (eff.erew) {
-    ErewWalkState st = make_erew_walk_state(exec, list, lay, pred);
-    walkdown1_erew(exec, list, lay, pred, st, color);
-    walkdown2_erew(exec, list, lay, pred, st, color);
-  } else {
-    walkdown(exec, list, lay, pred, color);
-  }
-  phase("walkdown");
+  const auto color = walkdown_colors(exec, list, lay, pred, eff.erew);
+  clock.phase("walkdown");
 
   // ---- Step 5: Match1 steps 3–4 on the 3-color labels. -------------------
-  r.cut = detail::cut_colors(exec, list, pred, color, eff.erew,
+  r.cut = detail::cut_colors(exec, list, pred, *color, eff.erew,
                              r.in_matching);
-  phase("cut+walk");
+  clock.phase("cut+walk");
 
-  r.edges = 0;
-  for (auto b : r.in_matching) r.edges += (b != 0);
-  r.cost = exec.stats() - start;
+  clock.finish();
 }
 
 template <class Exec>

@@ -1,10 +1,13 @@
 // Result type shared by all matching algorithms.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/cut.h"
+#include "pram/context.h"
 #include "pram/stats.h"
 #include "pram/sweep.h"
 #include "support/types.h"
@@ -40,6 +43,48 @@ struct MatchResult {
   }
 };
 
+/// The phase clock of Match1–4. Construction starts a run: it resets `r`
+/// and marks the executor's cost and the wall clock. Each phase() closes
+/// the span since the last mark under `name`, into `r.phases` and the
+/// executor's phase sink; finish() counts the chosen pointers and charges
+/// the run's total cost.
+template <class Exec>
+class PhaseClock {
+ public:
+  PhaseClock(Exec& exec, MatchResult& r)
+      : exec_(exec),
+        r_(r),
+        start_(exec.stats()),
+        mark_(start_),
+        wall_mark_(std::chrono::steady_clock::now()) {
+    r_.reset();
+  }
+
+  void phase(const std::string& name) {
+    const pram::Stats delta = exec_.stats() - mark_;
+    const auto now = std::chrono::steady_clock::now();
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(now - wall_mark_).count();
+    r_.phases.push_back({name, delta, wall_ms});
+    pram::note_phase(exec_, name, delta, wall_ms);
+    mark_ = exec_.stats();
+    wall_mark_ = now;
+  }
+
+  void finish() {
+    r_.edges = 0;
+    for (auto b : r_.in_matching) r_.edges += (b != 0);
+    r_.cost = exec_.stats() - start_;
+  }
+
+ private:
+  Exec& exec_;
+  MatchResult& r_;
+  pram::Stats start_;
+  pram::Stats mark_;
+  std::chrono::steady_clock::time_point wall_mark_;
+};
+
 /// Compute the predecessor array as one PRAM step pair (init + scatter)
 /// into a caller-sized buffer; writes are exclusive (each node has at most
 /// one predecessor) — EREW.
@@ -56,11 +101,10 @@ void parallel_predecessors_into(Exec& exec, const list::LinkedList& list,
       exec.sweep(n, 1, [pr](std::size_t lo, std::size_t hi) {
         for (std::size_t v = lo; v < hi; ++v) pr[v] = knil;
       });
-      const std::size_t dist =
-          static_cast<std::size_t>(pram::tuning().prefetch.distance);
       exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
+        constexpr std::size_t dist = pram::kPrefetchDistance;
         for (std::size_t v = lo; v < hi; ++v) {
-          if (dist != 0 && v + dist < hi) {
+          if (v + dist < hi) {
             const index_t pf = nx[v + dist];
             if (pf != knil) pram::prefetch_rw(pr + pf);
           }

@@ -61,6 +61,18 @@ label_t partition_bound_after(label_t input_bound);
 /// The fixed-point alphabet size: labels no longer shrink once < 6.
 inline constexpr label_t kFixedPointBound = 6;
 
+/// Relabel rounds needed to reach the fixed point (< 6) from addresses
+/// < n — the iteration count of Match1 step 2, Θ(G(n)).
+inline int rounds_to_constant(std::size_t n) {
+  label_t bound = static_cast<label_t>(n);
+  int rounds = 0;
+  while (bound > kFixedPointBound) {
+    bound = partition_bound_after(bound);
+    ++rounds;
+  }
+  return rounds;
+}
+
 namespace detail {
 /// Fused relabel kernel over [lo, hi): gather the successor labels into a
 /// small contiguous buffer (prefetching the pointer chase `dist` elements
@@ -74,14 +86,13 @@ inline void relabel_span_t(const index_t* nx, const SrcT* src, DstT* dst,
                            std::size_t lo, std::size_t hi, index_t head,
                            BitRule rule) {
   constexpr std::size_t kBlock = 256;
-  const std::size_t dist =
-      static_cast<std::size_t>(pram::tuning().prefetch.distance);
+  constexpr std::size_t dist = pram::kPrefetchDistance;
   const bool msb = rule == BitRule::kMostSignificant;
   SrcT bbuf[kBlock];
   for (std::size_t base = lo; base < hi; base += kBlock) {
     const std::size_t len = std::min(kBlock, hi - base);
     for (std::size_t i = 0; i < len; ++i) {
-      if (dist != 0 && i + dist < len) {
+      if (i + dist < len) {
         const index_t pf = nx[base + i + dist];
         pram::prefetch_ro(src + (pf == knil ? head : pf));
       }
@@ -108,12 +119,6 @@ inline void relabel_span_t(const index_t* nx, const SrcT* src, DstT* dst,
       }
     }
   }
-}
-
-inline void relabel_span(const index_t* nx, const label_t* src, label_t* dst,
-                         std::size_t lo, std::size_t hi, index_t head,
-                         BitRule rule) {
-  relabel_span_t(nx, src, dst, lo, hi, head, rule);
 }
 
 /// Round-1 kernel for labels that ARE the node addresses (the state right
@@ -209,17 +214,6 @@ void relabel(Exec& exec, const list::LinkedList& list,
   const std::size_t n = list.size();
   const auto& next = list.next_array();
   const index_t head = list.head();
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      const index_t* nx = next.data();
-      const label_t* src = in.data();
-      label_t* dst = out.data();
-      exec.sweep(n, 1, [=](std::size_t lo, std::size_t hi) {
-        detail::relabel_span(nx, src, dst, lo, hi, head, rule);
-      });
-      return;
-    }
-  }
   exec.step(n, [&](std::size_t v, auto&& m) {
     const index_t raw = m.rd(next, v);
     const index_t s = raw == knil ? head : raw;
@@ -250,15 +244,6 @@ template <class Exec>
 void init_address_labels(Exec& exec, std::size_t n,
                          std::vector<label_t>& labels) {
   labels.assign(n, 0);
-  if constexpr (pram::has_sweep_v<Exec>) {
-    if (pram::tuning().fused) {
-      label_t* dst = labels.data();
-      exec.sweep(n, 1, [dst](std::size_t lo, std::size_t hi) {
-        for (std::size_t v = lo; v < hi; ++v) dst[v] = static_cast<label_t>(v);
-      });
-      return;
-    }
-  }
   exec.step(n, [&](std::size_t v, auto&& m) {
     m.wr(labels, v, static_cast<label_t>(v));
   });
@@ -311,16 +296,11 @@ template <class Exec>
 int reduce_to_constant(Exec& exec, const list::LinkedList& list,
                        std::vector<label_t>& labels, BitRule rule,
                        bool labels_are_addresses = false) {
-  if (list.size() <= 1) return 0;
-  // The round count is a pure function of n (the bound sequence), so it
-  // can be planned upfront and the whole run handed to the narrowed
-  // multi-round driver.
-  int planned = 0;
-  for (label_t bound = static_cast<label_t>(list.size());
-       bound > kFixedPointBound; bound = partition_bound_after(bound))
-    ++planned;
-  relabel_rounds(exec, list, labels, planned, rule, labels_are_addresses);
-  return planned;
+  // The round count is a pure function of n (the bound sequence), so the
+  // whole run goes to the narrowed multi-round driver.
+  const int rounds = rounds_to_constant(list.size());
+  relabel_rounds(exec, list, labels, rounds, rule, labels_are_addresses);
+  return rounds;
 }
 
 /// EREW counterpart of relabel_rounds (needs the predecessor array).
@@ -345,19 +325,8 @@ template <class Exec>
 int reduce_to_constant_erew(Exec& exec, const list::LinkedList& list,
                             const std::vector<index_t>& pred,
                             std::vector<label_t>& labels, BitRule rule) {
-  if (list.size() <= 1) return 0;
-  label_t bound = static_cast<label_t>(list.size());
-  int rounds = 0;
-  auto tmp_h = pram::scratch<label_t>(exec, labels.size());
-  auto inbox_h = pram::scratch<label_t>(exec, labels.size());
-  std::vector<label_t>& tmp = *tmp_h;
-  std::vector<label_t>& inbox = *inbox_h;
-  while (bound > kFixedPointBound) {
-    relabel_erew(exec, list, pred, labels, tmp, inbox, rule);
-    labels.swap(tmp);
-    bound = partition_bound_after(bound);
-    ++rounds;
-  }
+  const int rounds = rounds_to_constant(list.size());
+  relabel_rounds_erew(exec, list, pred, labels, rounds, rule);
   return rounds;
 }
 

@@ -68,23 +68,9 @@ void walkdown_schedule(Exec& exec, const list::LinkedList& list, bool erew) {
   else
     reduce_to_constant(exec, list, labels, BitRule::kMostSignificant,
                        /*labels_are_addresses=*/true);
-  auto keys_h = pram::scratch<index_t>(exec, n);
-  std::vector<index_t>& keys = *keys_h;
-  exec.step(n, [&](std::size_t v, auto&& m) {
-    m.wr(keys, v, static_cast<index_t>(m.rd(labels, v)));
-  });
-  Layout2D lay = build_layout(exec, n, keys,
-                              static_cast<std::size_t>(kFixedPointBound));
-  auto color_h = pram::scratch<std::uint8_t>(exec, n);
-  std::vector<std::uint8_t>& color = *color_h;
-  exec.step(n, [&](std::size_t v, auto&& m) { m.wr(color, v, kNoColor); });
-  if (erew) {
-    ErewWalkState st = make_erew_walk_state(exec, list, lay, pred);
-    walkdown1_erew(exec, list, lay, pred, st, color);
-    walkdown2_erew(exec, list, lay, pred, st, color);
-  } else {
-    walkdown(exec, list, lay, pred, color);
-  }
+  const Layout2D lay = sort_columns(
+      exec, labels, static_cast<std::size_t>(kFixedPointBound));
+  walkdown_colors(exec, list, lay, pred, erew);
 }
 
 AlgorithmEntry match_entry(std::string name, pram::Mode declared,

@@ -454,4 +454,43 @@ WalkDown2Trace walkdown2_erew(Exec& exec, const list::LinkedList& list,
   return trace;
 }
 
+// ---------------------------------------------------------------------------
+// Match4's steps 2–4, shared with the bare WalkDown schedules of the
+// registry.
+// ---------------------------------------------------------------------------
+
+/// Step 2: copy the set numbers (< rows) as keys in one step of n
+/// processors, then sort every column by them.
+template <class Exec>
+Layout2D sort_columns(Exec& exec, const std::vector<label_t>& labels,
+                      std::size_t rows) {
+  const std::size_t n = labels.size();
+  auto keys_h = pram::scratch<index_t>(exec, n);
+  std::vector<index_t>& keys = *keys_h;
+  exec.step(n, [&](std::size_t v, auto&& m) {
+    m.wr(keys, v, static_cast<index_t>(m.rd(labels, v)));
+  });
+  return build_layout(exec, n, keys, rows);
+}
+
+/// Steps 3–4: one step clears every pointer's color to kNoColor, then
+/// WalkDown1 and WalkDown2 color them (the inbox walks when `erew`).
+template <class Exec>
+pram::ScratchVec<std::uint8_t> walkdown_colors(
+    Exec& exec, const list::LinkedList& list, const Layout2D& lay,
+    const std::vector<index_t>& pred, bool erew) {
+  const std::size_t n = list.size();
+  auto color_h = pram::scratch<std::uint8_t>(exec, n);
+  std::vector<std::uint8_t>& color = *color_h;
+  exec.step(n, [&](std::size_t v, auto&& m) { m.wr(color, v, kNoColor); });
+  if (erew) {
+    ErewWalkState st = make_erew_walk_state(exec, list, lay, pred);
+    walkdown1_erew(exec, list, lay, pred, st, color);
+    walkdown2_erew(exec, list, lay, pred, st, color);
+  } else {
+    walkdown(exec, list, lay, pred, color);
+  }
+  return color_h;
+}
+
 }  // namespace llmp::core

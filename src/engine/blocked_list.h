@@ -1,6 +1,6 @@
 // BlockedList — a linked list whose node records live in cached blocks.
 //
-// The blocked counterpart of list::LinkedList (StoragePolicy::kBlocked):
+// The blocked counterpart of list::LinkedList:
 // each node owns one NodeRec in a BlockStore, so at most
 // cache_blocks × block_nodes records are in memory at any time however
 // long the list is. init() streams the successor array through the cache
@@ -22,7 +22,6 @@
 #include "engine/block_store.h"
 #include "engine/scheduler.h"
 #include "list/linked_list.h"
-#include "list/storage.h"
 #include "support/status.h"
 #include "support/types.h"
 
@@ -45,9 +44,6 @@ class BlockedList {
   std::size_t size() const { return n_; }
   index_t head() const { return head_; }
   index_t tail() const { return tail_; }
-  list::StoragePolicy storage_policy() const {
-    return list::StoragePolicy::kBlocked;
-  }
 
   const BlockConfig& config() const { return cfg_; }
   std::size_t blocks() const { return store_.blocks(); }

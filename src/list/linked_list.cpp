@@ -19,15 +19,15 @@ Status LinkedList::structure(const std::vector<index_t>& next,
 }
 
 LinkedList::LinkedList(std::vector<index_t> next)
-    : storage_(std::move(next)) {
-  const Status s = structure(storage_.next_array(), *this);
+    : next_(std::move(next)) {
+  const Status s = structure(next_, *this);
   LLMP_CHECK_MSG(s.ok(), s.message());
 }
 
 Result<LinkedList> LinkedList::make(std::vector<index_t> next) {
   LinkedList l;
   if (Status s = structure(next, l); !s.ok()) return s;
-  l.storage_ = FlatStorage(std::move(next));
+  l.next_ = std::move(next);
   return l;
 }
 

@@ -12,9 +12,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "list/storage.h"
 #include "support/check.h"
 #include "support/status.h"
 #include "support/types.h"
@@ -39,15 +39,11 @@ class LinkedList {
   /// The list with nodes in array order: next[i] = i+1.
   static LinkedList identity(std::size_t n);
 
-  std::size_t size() const { return storage_.size(); }
+  std::size_t size() const { return next_.size(); }
   /// Number of real pointers, n − 1 (0 for the empty/singleton list).
   std::size_t pointers() const {
-    return storage_.size() == 0 ? 0 : storage_.size() - 1;
+    return next_.size() == 0 ? 0 : next_.size() - 1;
   }
-
-  /// Where the successor data lives (always kFlat here; the blocked
-  /// counterpart is engine::BlockedList — see list/storage.h).
-  StoragePolicy storage_policy() const { return FlatStorage::policy(); }
 
   index_t head() const { return head_; }
   index_t tail() const { return tail_; }
@@ -55,7 +51,10 @@ class LinkedList {
   std::uint64_t seed() const { return seed_; }
 
   /// Successor of v; knil for the tail.
-  index_t next(index_t v) const { return storage_.successor(v); }
+  index_t next(index_t v) const {
+    LLMP_DCHECK(v < next_.size());
+    return next_[v];
+  }
 
   /// Successor under the paper's circular convention: suc(tail) = head.
   index_t circular_next(index_t v) const {
@@ -66,9 +65,8 @@ class LinkedList {
   /// Whether v is the tail of a real pointer <v, suc(v)>.
   bool has_pointer(index_t v) const { return next(v) != knil; }
 
-  const std::vector<index_t>& next_array() const {
-    return storage_.next_array();
-  }
+  /// The whole array, for the PRAM passes' m.rd(next, v) accesses.
+  const std::vector<index_t>& next_array() const { return next_; }
 
   /// Predecessor array: pred[next[v]] = v, pred[head] = knil. Computed on
   /// demand (one parallel step in the algorithms; here a plain loop since
@@ -82,7 +80,7 @@ class LinkedList {
   /// one walk decides, and fills into's head, tail and seed if it accepts.
   static Status structure(const std::vector<index_t>& next, LinkedList& into);
 
-  FlatStorage storage_;
+  std::vector<index_t> next_;
   index_t head_ = knil;
   index_t tail_ = knil;
   std::uint64_t seed_ = 0;

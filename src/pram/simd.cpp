@@ -45,11 +45,6 @@ void crunch_scalar(const std::uint64_t* a, const std::uint64_t* b,
   }
 }
 
-void concat_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                   std::uint64_t* out, std::size_t n, int shift) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = (a[i] << shift) | b[i];
-}
-
 inline std::uint8_t crunch_byte_one(std::uint8_t a, std::uint8_t b,
                                     bool most_significant) {
   const unsigned x = static_cast<unsigned>(a ^ b);
@@ -114,20 +109,6 @@ __attribute__((target("sse2"))) void crunch_sse2(
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), r);
   }
   if (i < n) crunch_scalar(a + i, b + i, out + i, n - i, most_significant);
-}
-
-__attribute__((target("sse2"))) void concat_sse2(
-    const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
-    std::size_t n, int shift) {
-  const __m128i cnt = _mm_cvtsi32_si128(shift);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_or_si128(_mm_sll_epi64(va, cnt), vb));
-  }
-  if (i < n) concat_scalar(a + i, b + i, out + i, n - i, shift);
 }
 
 // ---- AVX2. ---------------------------------------------------------------
@@ -224,22 +205,6 @@ __attribute__((target("avx2"))) void crunch_bytes_avx2(
     crunch_bytes_scalar(a + i, b + i, out + i, n - i, most_significant);
 }
 
-__attribute__((target("avx2"))) void concat_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
-    std::size_t n, int shift) {
-  const __m128i cnt = _mm_cvtsi32_si128(shift);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_or_si256(_mm256_sll_epi64(va, cnt), vb));
-  }
-  if (i < n) concat_scalar(a + i, b + i, out + i, n - i, shift);
-}
-
 #endif  // LLMP_SIMD_X86
 
 // ---- Dispatch state. -----------------------------------------------------
@@ -309,18 +274,6 @@ void crunch_pairs(const std::uint64_t* a, const std::uint64_t* b,
   }
 #endif
   crunch_scalar(a, b, out, n, most_significant);
-}
-
-void concat_pairs(const std::uint64_t* a, const std::uint64_t* b,
-                  std::uint64_t* out, std::size_t n, int shift) {
-#if LLMP_SIMD_X86
-  switch (active_level()) {
-    case Level::kAvx2: concat_avx2(a, b, out, n, shift); return;
-    case Level::kSse2: concat_sse2(a, b, out, n, shift); return;
-    case Level::kScalar: break;
-  }
-#endif
-  concat_scalar(a, b, out, n, shift);
 }
 
 void crunch_bytes(const std::uint8_t* a, const std::uint8_t* b,

@@ -48,11 +48,6 @@ const char* level_name(Level level);
 void crunch_pairs(const std::uint64_t* a, const std::uint64_t* b,
                   std::uint64_t* out, std::size_t n, bool most_significant);
 
-/// out[i] = (a[i] << shift) | b[i] — the label-concatenation step of the
-/// Match3/4 gather rounds. Precondition: 0 <= shift < 64.
-void concat_pairs(const std::uint64_t* a, const std::uint64_t* b,
-                  std::uint64_t* out, std::size_t n, int shift);
-
 /// Byte-wide partition function for the narrowed relabel rounds: one
 /// application of f maps any 64-bit labels below 2·64 = 128, so every
 /// round after the first crunches uint8 labels. Computes the same

@@ -91,9 +91,4 @@ void ThreadPool::dispatch(SliceFn fn, void* ctx) {
   }
 }
 
-void ThreadPool::run_spmd(const std::function<void(std::size_t)>& fn) {
-  auto call = [&fn](std::size_t tid) { fn(tid); };
-  dispatch(&invoke<decltype(call)>, &call);
-}
-
 }  // namespace llmp::pram

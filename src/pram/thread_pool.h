@@ -10,8 +10,7 @@
 // is type-erased — as a raw {function pointer, context pointer} pair, not
 // a std::function — so per-step dispatch cost does not scale with the
 // step's processor count. The erasure is safe without ownership because
-// dispatch blocks until every slice has run. run_spmd keeps the
-// std::function interface for SPMD-style tests.
+// dispatch blocks until every slice has run.
 //
 // The pool backs ParallelExec's synchronous steps: because every algorithm
 // step writes only cells that no other virtual processor reads in the same
@@ -23,7 +22,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -72,10 +70,6 @@ class ThreadPool {
     };
     dispatch(&invoke<decltype(slice)>, &slice);
   }
-
-  /// Run fn(tid) once on every worker and on the caller (tid = workers()).
-  /// Used by SPMD-style tests that exercise the Barrier.
-  void run_spmd(const std::function<void(std::size_t)>& fn);
 
   std::size_t workers() const { return threads_.size(); }
 

@@ -1,18 +1,15 @@
 // Process-wide tuning for the fused fast paths.
 //
-// One mutable singleton gathers the runtime switches of the raw-speed
-// layer so benches and the differential tests can flip them without
-// rebuilding:
+// One mutable singleton holds the runtime switch of the raw-speed layer
+// so benches and the differential tests can flip it without rebuilding:
 //
 //   fused              take the fused raw-array sweeps (vs. the legacy
 //                      per-element step bodies)        LLMP_FUSED=off
-//   prefetch.distance  look-ahead of the prefetching
-//                      sweeps, 0 disables              LLMP_PREFETCH_DIST=N
 //
 // (The SIMD level has its own switch in simd.h — it additionally depends
 // on what the CPU supports.) Every combination of these switches produces
-// bit-identical results and bit-identical PRAM cost surfaces; the knobs
-// only move wall-clock time. That invariant is what tests/
+// bit-identical results and bit-identical PRAM cost surfaces; they only
+// move wall-clock time. That invariant is what tests/
 // fused_backend_test.cpp enforces against the pram::Machine referee.
 //
 // The struct is read at sweep entry, not per element; toggling it between
@@ -23,15 +20,11 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "pram/prefetch.h"
-
 namespace llmp::pram {
 
 struct SweepTuning {
   /// Fused raw-array sweeps on executors that support them (has_sweep_v).
   bool fused = true;
-  /// Software-prefetch policy for the pointer-chasing sweeps.
-  PrefetchPolicy prefetch;
 };
 
 namespace detail {
@@ -40,10 +33,6 @@ inline SweepTuning tuning_from_env() {
   if (const char* e = std::getenv("LLMP_FUSED")) {
     if (std::strcmp(e, "off") == 0 || std::strcmp(e, "0") == 0)
       t.fused = false;
-  }
-  if (const char* e = std::getenv("LLMP_PREFETCH_DIST")) {
-    const int d = std::atoi(e);
-    if (d >= 0 && d <= 256) t.prefetch.distance = d;
   }
   return t;
 }

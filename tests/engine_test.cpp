@@ -193,15 +193,9 @@ TEST(BlockedList, RoundTripsSuccessorArray) {
   EXPECT_EQ(bl.size(), 1000u);
   EXPECT_EQ(bl.head(), src.head());
   EXPECT_EQ(bl.tail(), src.tail());
-  EXPECT_EQ(bl.storage_policy(), list::StoragePolicy::kBlocked);
   std::vector<index_t> flat;
   ASSERT_TRUE(bl.to_flat(flat).ok());
   EXPECT_EQ(flat, src.next_array());
-}
-
-TEST(BlockedList, FlatListReportsFlatPolicy) {
-  const auto l = list::LinkedList::identity(4);
-  EXPECT_EQ(l.storage_policy(), list::StoragePolicy::kFlat);
 }
 
 // ---- BlockedMatcher: correctness vs the flat paths. -----------------------

@@ -8,8 +8,8 @@
 //   * on pram::Machine — the tracked PRAM referee, which has no sweep and
 //     therefore always executes the legacy per-element step bodies — and
 //   * on pram::ParallelExec in each fast-path configuration (fused with
-//     runtime-dispatched SIMD, fused with SIMD forced scalar, fused with
-//     prefetch disabled, and legacy mode with fusion switched off),
+//     runtime-dispatched SIMD, fused with SIMD forced scalar, and legacy
+//     mode with fusion switched off),
 //
 // across sizes straddling the inline/pooled threshold, and asserting
 // bit-identical matchings, edge counts, auxiliary counters, cost surfaces
@@ -44,13 +44,12 @@ static_assert(pram::has_sweep_v<pram::Context<pram::ParallelExec>>);
 static_assert(!pram::has_sweep_v<pram::Machine>);
 static_assert(!pram::has_sweep_v<pram::Context<pram::Machine>>);
 
-enum class FastMode { kLegacy, kFusedScalar, kFusedNoPrefetch, kFusedFull };
+enum class FastMode { kLegacy, kFusedScalar, kFusedFull };
 
 const char* mode_name(FastMode m) {
   switch (m) {
     case FastMode::kLegacy: return "legacy";
     case FastMode::kFusedScalar: return "fused-scalar";
-    case FastMode::kFusedNoPrefetch: return "fused-noprefetch";
     case FastMode::kFusedFull: return "fused-full";
   }
   return "?";
@@ -70,10 +69,6 @@ class TuningGuard {
       case FastMode::kFusedScalar:
         t.fused = true;
         pram::simd::set_level(pram::simd::Level::kScalar);
-        break;
-      case FastMode::kFusedNoPrefetch:
-        t.fused = true;
-        t.prefetch.distance = 0;
         break;
       case FastMode::kFusedFull:
         t.fused = true;
@@ -167,9 +162,7 @@ TEST(FusedBackend, EveryAlgorithmBitIdenticalAcrossFastModes) {
         pram::ParallelExec exec(64, pool, kThreshold);
         reference = run_entry(exec, *entry, list);
       }
-      for (FastMode mode : {FastMode::kFusedScalar,
-                            FastMode::kFusedNoPrefetch,
-                            FastMode::kFusedFull}) {
+      for (FastMode mode : {FastMode::kFusedScalar, FastMode::kFusedFull}) {
         TuningGuard guard(mode);
         pram::ParallelExec exec(64, pool, kThreshold);
         const BackendRun run = run_entry(exec, *entry, list);

@@ -34,7 +34,6 @@
 #include "engine/scheduler.h"
 #include "list/generators.h"
 #include "list/linked_list.h"
-#include "list/storage.h"
 #include "llmp.h"
 #include "net/admission.h"
 #include "net/cli.h"
@@ -42,7 +41,6 @@
 #include "net/server.h"
 #include "net/stats.h"
 #include "net/wire.h"
-#include "pram/barrier.h"
 #include "pram/context.h"
 #include "pram/executor.h"
 #include "pram/machine.h"

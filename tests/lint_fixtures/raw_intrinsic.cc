@@ -1,6 +1,6 @@
 // BAD: code outside src/pram/ calls a hardware intrinsic directly,
-// bypassing the runtime-dispatched prefetch/SIMD policies (and their
-// portable scalar fallbacks) behind pram/prefetch.h and pram/simd.h.
+// bypassing the prefetch and SIMD wrappers (and their portable scalar
+// fallbacks) in pram/prefetch.h and pram/simd.h.
 // Expected: raw-intrinsic on the `__builtin_prefetch` line.
 #include <cstddef>
 

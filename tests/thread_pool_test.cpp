@@ -1,5 +1,5 @@
-// Tests for the SPMD thread pool and the sense-reversing barrier, plus
-// ParallelExec's inline/pooled dispatch seam at its parallel threshold.
+// Tests for the SPMD thread pool, plus ParallelExec's inline/pooled
+// dispatch seam at its parallel threshold.
 #include "pram/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "pram/barrier.h"
 #include "pram/executor.h"
 
 namespace llmp::pram {
@@ -180,37 +179,6 @@ TEST(ParallelExec, DefaultConstructionCalibratesOncePerPool) {
   ParallelExec a(64, pool_a), b(64, pool_b);
   EXPECT_EQ(a.parallel_threshold(), b.parallel_threshold());
   EXPECT_GE(a.parallel_threshold(), 1u);
-}
-
-TEST(Barrier, SynchronizesPhases) {
-  constexpr std::size_t kParties = 4;
-  ThreadPool pool(kParties - 1);
-  Barrier barrier(kParties);
-  constexpr int kPhases = 50;
-  std::vector<std::atomic<int>> counts(kPhases);
-  std::atomic<bool> order_ok{true};
-  pool.run_spmd([&](std::size_t) {
-    bool sense = false;
-    for (int ph = 0; ph < kPhases; ++ph) {
-      counts[ph].fetch_add(1, std::memory_order_relaxed);
-      barrier.arrive_and_wait(sense);
-      // After the barrier, every party must have bumped this phase.
-      if (counts[ph].load(std::memory_order_relaxed) !=
-          static_cast<int>(kParties))
-        order_ok.store(false);
-      barrier.arrive_and_wait(sense);
-    }
-  });
-  EXPECT_TRUE(order_ok.load());
-  for (int ph = 0; ph < kPhases; ++ph)
-    EXPECT_EQ(counts[ph].load(), static_cast<int>(kParties));
-}
-
-TEST(Barrier, SinglePartyNeverBlocks) {
-  Barrier b(1);
-  bool sense = false;
-  for (int i = 0; i < 10; ++i) b.arrive_and_wait(sense);
-  SUCCEED();
 }
 
 }  // namespace

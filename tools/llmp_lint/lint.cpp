@@ -530,7 +530,7 @@ void check_storage_rules(const std::string& path,
 }
 
 // ---------------------------------------------------------------------------
-// raw-intrinsic: prefetch/SIMD are policies owned by src/pram/.
+// raw-intrinsic: prefetch and SIMD are wrapped in src/pram/.
 // ---------------------------------------------------------------------------
 
 bool starts_with(const std::string& s, const char* prefix) {
@@ -565,8 +565,8 @@ void check_intrinsic_rules(const std::string& path, const std::string& text,
     findings.push_back(
         {path, inc.line, "raw-intrinsic",
          "intrinsic header <" + inc.target +
-             "> outside src/pram/; prefetch and SIMD are runtime-dispatched "
-             "policies — use pram/prefetch.h / pram/simd.h"});
+             "> outside src/pram/; prefetch and SIMD are wrapped there — "
+             "use pram/prefetch.h / pram/simd.h"});
   }
   for (const Token& t : toks) {
     if (!t.ident() || !is_intrinsic_name(t.text)) continue;
@@ -642,9 +642,9 @@ bool owns_storage(const std::string& path) {
 }
 
 // src/pram/ is the single sanctioned home of raw prefetch/SIMD
-// intrinsics: prefetch.h and simd.h wrap them behind runtime-dispatched
-// policies with portable scalar fallbacks. Everywhere else a fast path
-// must be spelled through those wrappers.
+// intrinsics: prefetch.h wraps the prefetch builtin, and simd.h wraps the
+// vector kernels behind runtime dispatch with portable scalar fallbacks.
+// Everywhere else a fast path must be spelled through those wrappers.
 bool under_pram(const std::string& path) {
   return path.find("src/pram/") == 0 ||
          path.find("/src/pram/") != std::string::npos;

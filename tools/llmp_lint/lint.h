@@ -50,9 +50,9 @@
 //                         `_mm*` / `_mm256*` / `_mm512*` vector intrinsic,
 //                         an `__m128`/`__m256`/`__m512` vector type, or an
 //                         `*intrin.h` include. Prefetch and SIMD are
-//                         runtime-dispatched policies behind
-//                         pram/prefetch.h and pram/simd.h so every call
-//                         site keeps its portable scalar fallback and the
+//                         wrapped in pram/prefetch.h and the runtime-
+//                         dispatched pram/simd.h so every call site keeps
+//                         its portable scalar fallback and the
 //                         forced-scalar differential suite stays honest;
 //                         a raw intrinsic at a call site silently forks
 //                         the fast path from the referee'd one.
