@@ -162,12 +162,11 @@ int run(int argc, char** argv) {
             << n << ", workers=" << workers << "\n\n";
   {
     fmt::Table t({"backend config", "workers", "calibrated_threshold",
-                  "threshold_measured", "simd_level"});
+                  "threshold_measured"});
     const std::size_t thr = calibrated.parallel_threshold();
     t.add_row({"thread", fmt::num(workers),
                thr == pram::kNeverParallel ? "never" : fmt::num(thr),
-               fmt::num(calibrated.calibration().measured ? 1 : 0),
-               pram::simd::level_name(pram::simd::active_level())});
+               fmt::num(calibrated.calibration().measured ? 1 : 0)});
     t.print();
   }
 

@@ -103,7 +103,6 @@ int cmd_match_blocked(const Args& a, const list::LinkedList& lst) {
   llmp::Context ctx(static_cast<std::size_t>(a.num("p", 1024)));
   const std::size_t budget =
       static_cast<std::size_t>(a.num("budget-bytes", 0));
-  ctx.pram_context().set_block_cache_budget(budget);
 
   engine::BlockConfig cfg = engine::BlockConfig::from_budget(
       budget, sizeof(engine::NodeRec),

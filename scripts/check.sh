@@ -2,10 +2,6 @@
 # Full local CI sweep:
 #
 #   1. plain Release build + the tier-1 ctest suite,
-#   1b. the fused-backend differential suite rerun with SIMD dispatch
-#      forced off (LLMP_SIMD=off): the portable scalar kernels must be
-#      bit-identical to the PRAM referee too, not just the AVX2 path the
-#      host happens to pick,
 #   2. llmp_lint over the tree and llmp_prove over the registry,
 #   2b. the bench perf gate: deterministic counters (cache loads/spills,
 #      mailbox traffic, set counts) diffed exactly against the committed
@@ -48,9 +44,6 @@ echo "== [1/5] Release build + tier-1 tests =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
-
-echo "== [1b/5] fused-backend differential suite, SIMD forced off =="
-LLMP_SIMD=off ./build/tests/fused_backend_test
 
 echo "== [2/5] llmp_lint + llmp_prove =="
 ./build/tools/llmp_lint/llmp_lint src bench examples tools
@@ -95,8 +88,6 @@ cmake -B build-asan -S . \
   -DLLMP_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS")
-# The scalar crunch kernels under the sanitizers too, not just AVX2.
-LLMP_SIMD=off ./build-asan/tests/fused_backend_test
 
 echo "== [4b/5] blocked-engine out-of-core smoke under ASan (8x cache) =="
 # 2^17 nodes / 4096-node blocks = 32 blocks; the sweep's smallest cache

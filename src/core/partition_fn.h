@@ -74,41 +74,44 @@ inline int rounds_to_constant(std::size_t n) {
 }
 
 namespace detail {
-/// Fused relabel kernel over [lo, hi): gather the successor labels into a
-/// small contiguous buffer (prefetching the pointer chase `dist` elements
-/// ahead), then crunch whole blocks through the SIMD partition function.
-/// Bit-identical to the per-element step body it replaces. The label type
-/// is templated so multi-round callers can keep intermediate labels in
-/// uint8 (one application of f lands below 2·64 = 128 whatever the input,
-/// since k <= 63), shrinking the random-gather working set 8x.
+/// Fused relabel kernel over [lo, hi), bit-identical to the per-element
+/// step body it replaces; the successor's label is prefetched
+/// kPrefetchDistance elements ahead of the pointer chase. The label type
+/// is templated so multi-round callers keep intermediate labels in uint8
+/// (one application of f lands below 2·64 = 128 whatever the input, since
+/// k <= 63), shrinking the random-gather working set 8x. A 64-bit source
+/// (the first round) evaluates f in the loop that reads the successor; a
+/// byte source gathers 256-label blocks for the SIMD byte kernel.
 template <class SrcT, class DstT>
 inline void relabel_span_t(const index_t* nx, const SrcT* src, DstT* dst,
                            std::size_t lo, std::size_t hi, index_t head,
                            BitRule rule) {
-  constexpr std::size_t kBlock = 256;
   constexpr std::size_t dist = pram::kPrefetchDistance;
-  const bool msb = rule == BitRule::kMostSignificant;
-  SrcT bbuf[kBlock];
-  for (std::size_t base = lo; base < hi; base += kBlock) {
-    const std::size_t len = std::min(kBlock, hi - base);
-    for (std::size_t i = 0; i < len; ++i) {
-      if (i + dist < len) {
-        const index_t pf = nx[base + i + dist];
+  if constexpr (std::is_same_v<SrcT, label_t>) {
+    static_assert(std::is_same_v<DstT, std::uint8_t>);
+    for (std::size_t v = lo; v < hi; ++v) {
+      if (v + dist < hi) {
+        const index_t pf = nx[v + dist];
         pram::prefetch_ro(src + (pf == knil ? head : pf));
       }
-      const index_t raw = nx[base + i];
-      bbuf[i] = src[raw == knil ? head : raw];
+      const index_t raw = nx[v];
+      dst[v] = static_cast<DstT>(
+          partition_value(src[v], src[raw == knil ? head : raw], rule));
     }
-    if constexpr (std::is_same_v<SrcT, label_t>) {
-      if constexpr (std::is_same_v<DstT, label_t>) {
-        pram::simd::crunch_pairs(src + base, bbuf, dst + base, len, msb);
-      } else {
-        label_t wide[kBlock];
-        pram::simd::crunch_pairs(src + base, bbuf, wide, len, msb);
-        for (std::size_t i = 0; i < len; ++i)
-          dst[base + i] = static_cast<DstT>(wide[i]);
+  } else {
+    constexpr std::size_t kBlock = 256;
+    const bool msb = rule == BitRule::kMostSignificant;
+    SrcT bbuf[kBlock];
+    for (std::size_t base = lo; base < hi; base += kBlock) {
+      const std::size_t len = std::min(kBlock, hi - base);
+      for (std::size_t i = 0; i < len; ++i) {
+        if (i + dist < len) {
+          const index_t pf = nx[base + i + dist];
+          pram::prefetch_ro(src + (pf == knil ? head : pf));
+        }
+        const index_t raw = nx[base + i];
+        bbuf[i] = src[raw == knil ? head : raw];
       }
-    } else {
       if constexpr (std::is_same_v<DstT, std::uint8_t>) {
         pram::simd::crunch_bytes(src + base, bbuf, dst + base, len, msb);
       } else {
@@ -123,31 +126,17 @@ inline void relabel_span_t(const index_t* nx, const SrcT* src, DstT* dst,
 
 /// Round-1 kernel for labels that ARE the node addresses (the state right
 /// after init_address_labels): in[v] = v and in[suc(v)] = suc(v), so both
-/// crunch operands come straight from the loop counter and the streamed
+/// operands of f come straight from the loop counter and the streamed
 /// next array — the round needs no random access at all.
 template <class DstT>
 inline void relabel_addresses_span(const index_t* nx, DstT* dst,
                                    std::size_t lo, std::size_t hi,
                                    index_t head, BitRule rule) {
-  constexpr std::size_t kBlock = 256;
-  const bool msb = rule == BitRule::kMostSignificant;
-  label_t abuf[kBlock];
-  label_t bbuf[kBlock];
-  for (std::size_t base = lo; base < hi; base += kBlock) {
-    const std::size_t len = std::min(kBlock, hi - base);
-    for (std::size_t i = 0; i < len; ++i) {
-      abuf[i] = static_cast<label_t>(base + i);
-      const index_t raw = nx[base + i];
-      bbuf[i] = static_cast<label_t>(raw == knil ? head : raw);
-    }
-    if constexpr (std::is_same_v<DstT, label_t>) {
-      pram::simd::crunch_pairs(abuf, bbuf, dst + base, len, msb);
-    } else {
-      label_t wide[kBlock];
-      pram::simd::crunch_pairs(abuf, bbuf, wide, len, msb);
-      for (std::size_t i = 0; i < len; ++i)
-        dst[base + i] = static_cast<DstT>(wide[i]);
-    }
+  for (std::size_t v = lo; v < hi; ++v) {
+    const index_t raw = nx[v];
+    dst[v] = static_cast<DstT>(
+        partition_value(static_cast<label_t>(v),
+                        static_cast<label_t>(raw == knil ? head : raw), rule));
   }
 }
 

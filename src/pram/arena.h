@@ -84,12 +84,7 @@ class ScratchVec {
 
 class ScratchArena {
  public:
-  enum class Policy {
-    kPooled,       ///< recycle released slabs (the default)
-    kPassthrough,  ///< plain heap vectors; released slabs are freed
-  };
-
-  explicit ScratchArena(Policy policy = Policy::kPooled) : policy_(policy) {}
+  ScratchArena() = default;
   ScratchArena(const ScratchArena&) = delete;
   ScratchArena& operator=(const ScratchArena&) = delete;
 
@@ -100,15 +95,13 @@ class ScratchArena {
     LLMP_FAILPOINT("pram.arena.take");
     ++takes_;
     std::vector<T> v;
-    if (policy_ == Policy::kPooled) {
-      auto& free_list = pool<T>().free_list;
-      const std::size_t pick = best_fit(free_list, n);
-      if (pick != free_list.size()) {
-        if (free_list[pick].capacity() >= n) ++hits_;
-        v = std::move(free_list[pick]);
-        free_list[pick] = std::move(free_list.back());
-        free_list.pop_back();
-      }
+    auto& free_list = pool<T>().free_list;
+    const std::size_t pick = best_fit(free_list, n);
+    if (pick != free_list.size()) {
+      if (free_list[pick].capacity() >= n) ++hits_;
+      v = std::move(free_list[pick]);
+      free_list[pick] = std::move(free_list.back());
+      free_list.pop_back();
     }
     v.assign(n, fill);
     return ScratchVec<T>(this, std::move(v));
@@ -117,11 +110,9 @@ class ScratchArena {
   /// Return a slab to its pool (called by ~ScratchVec).
   template <class T>
   void put(std::vector<T>&& v) {
-    if (policy_ != Policy::kPooled) return;
     pool<T>().free_list.push_back(std::move(v));
   }
 
-  Policy policy() const { return policy_; }
   /// Lifetime take() count and how many were served from a fitting slab.
   std::uint64_t takes() const { return takes_; }
   std::uint64_t hits() const { return hits_; }
@@ -167,7 +158,6 @@ class ScratchArena {
     return best != free_list.size() ? best : largest;
   }
 
-  Policy policy_;
   std::unordered_map<std::type_index, std::unique_ptr<PoolBase>> pools_;
   std::uint64_t takes_ = 0;
   std::uint64_t hits_ = 0;

@@ -39,9 +39,7 @@ class Context {
  public:
   using backend_type = Exec;
 
-  explicit Context(Exec& backend,
-                   ScratchArena::Policy policy = ScratchArena::Policy::kPooled)
-      : exec_(&backend), arena_(policy) {}
+  explicit Context(Exec& backend) : exec_(&backend) {}
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
@@ -73,14 +71,6 @@ class Context {
   Exec& backend() { return *exec_; }
   const Exec& backend() const { return *exec_; }
   ScratchArena& arena() { return arena_; }
-
-  /// Block-cache budget for out-of-core runs (src/engine), in bytes;
-  /// 0 = unset (run flat). Carried here beside the ScratchArena so one
-  /// warm Context describes all of a worker's memory policy.
-  std::size_t block_cache_budget() const { return block_cache_budget_; }
-  void set_block_cache_budget(std::size_t bytes) {
-    block_cache_budget_ = bytes;
-  }
 
   /// Append one phase-labeled cost span to the metrics sink. `wall_ms` is
   /// the measured wall-clock time of the span (0 when untimed) — the model
@@ -126,7 +116,6 @@ class Context {
   Exec* exec_;
   ScratchArena arena_;
   PhaseBreakdown phases_;
-  std::size_t block_cache_budget_ = 0;
 };
 
 template <class T>

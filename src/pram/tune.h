@@ -1,24 +1,19 @@
 // Process-wide tuning for the fused fast paths.
 //
-// One mutable singleton holds the runtime switch of the raw-speed layer
-// so benches and the differential tests can flip it without rebuilding:
+// One mutable singleton holds the raw-speed layer's one switch, so
+// benches and the differential tests can flip it in-process:
 //
 //   fused              take the fused raw-array sweeps (vs. the legacy
-//                      per-element step bodies)        LLMP_FUSED=off
+//                      per-element step bodies)
 //
-// (The SIMD level has its own switch in simd.h — it additionally depends
-// on what the CPU supports.) Every combination of these switches produces
-// bit-identical results and bit-identical PRAM cost surfaces; they only
-// move wall-clock time. That invariant is what tests/
+// Both settings produce bit-identical results and bit-identical PRAM cost
+// surfaces; they only move wall-clock time. That invariant is what tests/
 // fused_backend_test.cpp enforces against the pram::Machine referee.
 //
 // The struct is read at sweep entry, not per element; toggling it between
 // runs is cheap and exact. It is not synchronized: flip it only while no
 // sweeps are in flight (benches and tests do so from their main thread).
 #pragma once
-
-#include <cstdlib>
-#include <cstring>
 
 namespace llmp::pram {
 
@@ -27,20 +22,9 @@ struct SweepTuning {
   bool fused = true;
 };
 
-namespace detail {
-inline SweepTuning tuning_from_env() {
-  SweepTuning t;
-  if (const char* e = std::getenv("LLMP_FUSED")) {
-    if (std::strcmp(e, "off") == 0 || std::strcmp(e, "0") == 0)
-      t.fused = false;
-  }
-  return t;
-}
-}  // namespace detail
-
-/// The process-wide tuning block, seeded from the environment once.
+/// The process-wide tuning block.
 inline SweepTuning& tuning() {
-  static SweepTuning t = detail::tuning_from_env();
+  static SweepTuning t;
   return t;
 }
 

@@ -325,11 +325,8 @@ void Service::note_run_outcome(const Job& job, bool run_ok) {
 }
 
 Status Service::run_blocked(WorkerContext& wc, Job& job) {
-  // The request's budget rides on the worker's Context (the same place
-  // the ScratchArena lives) and shapes the engine's bounded cache.
-  wc.ctx.set_block_cache_budget(job.req.memory_budget_bytes);
   const engine::BlockConfig cfg = engine::BlockConfig::from_budget(
-      wc.ctx.block_cache_budget(), sizeof(engine::NodeRec));
+      job.req.memory_budget_bytes, sizeof(engine::NodeRec));
   engine::BlockedMatcher matcher;
   if (Status s = matcher.init(*job.req.list, cfg); !s.ok()) return s;
   Status s = matcher.matching_into(wc.scratch);

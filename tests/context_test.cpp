@@ -118,14 +118,6 @@ TEST(ScratchArena, PoolsAreKeyedByElementType) {
   EXPECT_EQ(b.size(), 16u);
 }
 
-TEST(ScratchArena, PassthroughPolicyStillHandsOutCorrectVectors) {
-  pram::ScratchArena arena(pram::ScratchArena::Policy::kPassthrough);
-  { auto a = arena.take<int>(10, 3); EXPECT_EQ(a[9], 3); }
-  auto b = arena.take<int>(10, 4);
-  EXPECT_EQ(b.vec(), std::vector<int>(10, 4));
-  EXPECT_EQ(arena.hits(), 0u);  // nothing is ever pooled
-}
-
 TEST(ScratchVec, MoveTransfersTheLease) {
   pram::ScratchArena arena;
   auto a = arena.take<int>(8, 1);

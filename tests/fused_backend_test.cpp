@@ -7,15 +7,15 @@
 //
 //   * on pram::Machine — the tracked PRAM referee, which has no sweep and
 //     therefore always executes the legacy per-element step bodies — and
-//   * on pram::ParallelExec in each fast-path configuration (fused with
-//     runtime-dispatched SIMD, fused with SIMD forced scalar, and legacy
-//     mode with fusion switched off),
+//   * on pram::ParallelExec with fusion on and with it switched off
+//     (legacy mode),
 //
 // across sizes straddling the inline/pooled threshold, and asserting
 // bit-identical matchings, edge counts, auxiliary counters, cost surfaces
 // (depth/time_p/work — reads/writes are tracked by the Machine only), and
 // phase breakdowns (names and deltas; wall_ms is machine noise and is
-// exempt). Run under LLMP_SIMD=off in CI to pin the portable scalar path.
+// exempt). The SIMD byte kernel's scalar and AVX2 bodies are each checked
+// on every input in simd_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,45 +44,17 @@ static_assert(pram::has_sweep_v<pram::Context<pram::ParallelExec>>);
 static_assert(!pram::has_sweep_v<pram::Machine>);
 static_assert(!pram::has_sweep_v<pram::Context<pram::Machine>>);
 
-enum class FastMode { kLegacy, kFusedScalar, kFusedFull };
-
-const char* mode_name(FastMode m) {
-  switch (m) {
-    case FastMode::kLegacy: return "legacy";
-    case FastMode::kFusedScalar: return "fused-scalar";
-    case FastMode::kFusedFull: return "fused-full";
-  }
-  return "?";
-}
-
-/// Applies one fast-path configuration to the process-wide tuning knobs;
-/// restores the previous configuration (and SIMD level) on destruction.
+/// Sets the process-wide fused switch; restores the previous tuning on
+/// destruction.
 class TuningGuard {
  public:
-  explicit TuningGuard(FastMode mode)
-      : saved_(pram::tuning()), level_(pram::simd::active_level()) {
-    pram::SweepTuning& t = pram::tuning();
-    switch (mode) {
-      case FastMode::kLegacy:
-        t.fused = false;
-        break;
-      case FastMode::kFusedScalar:
-        t.fused = true;
-        pram::simd::set_level(pram::simd::Level::kScalar);
-        break;
-      case FastMode::kFusedFull:
-        t.fused = true;
-        break;
-    }
+  explicit TuningGuard(bool fused) : saved_(pram::tuning()) {
+    pram::tuning().fused = fused;
   }
-  ~TuningGuard() {
-    pram::tuning() = saved_;
-    pram::simd::set_level(level_);
-  }
+  ~TuningGuard() { pram::tuning() = saved_; }
 
  private:
   pram::SweepTuning saved_;
-  pram::simd::Level level_;
 };
 
 /// One run of a registry entry: the matching result (empty for schedule
@@ -158,18 +130,15 @@ TEST(FusedBackend, EveryAlgorithmBitIdenticalAcrossFastModes) {
     for (const core::AlgorithmEntry* entry : all_entries()) {
       BackendRun reference;
       {
-        TuningGuard guard(FastMode::kLegacy);
+        TuningGuard guard(/*fused=*/false);
         pram::ParallelExec exec(64, pool, kThreshold);
         reference = run_entry(exec, *entry, list);
       }
-      for (FastMode mode : {FastMode::kFusedScalar, FastMode::kFusedFull}) {
-        TuningGuard guard(mode);
-        pram::ParallelExec exec(64, pool, kThreshold);
-        const BackendRun run = run_entry(exec, *entry, list);
-        expect_same_model(reference, run,
-                          entry->name + " n=" + std::to_string(n) + " " +
-                              mode_name(mode));
-      }
+      TuningGuard guard(/*fused=*/true);
+      pram::ParallelExec exec(64, pool, kThreshold);
+      const BackendRun run = run_entry(exec, *entry, list);
+      expect_same_model(reference, run,
+                        entry->name + " n=" + std::to_string(n) + " fused");
     }
   }
 }
@@ -185,7 +154,7 @@ TEST(FusedBackend, FusedThreadBackendMatchesMachineReferee) {
     pram::Machine machine(entry->declared, n,
                           pram::Machine::OnViolation::kRecord);
     const BackendRun referee = run_entry(machine, *entry, list);
-    TuningGuard guard(FastMode::kFusedFull);
+    TuningGuard guard(/*fused=*/true);
     pram::ParallelExec exec(n, pool, /*threshold=*/32);
     const BackendRun fast = run_entry(exec, *entry, list);
     // The referee tracks reads/writes; zero them out of the comparison by
@@ -210,7 +179,7 @@ TEST(FusedBackend, AdaptiveThresholdSeamIsResultInvariant) {
     ASSERT_NE(entry, nullptr);
     for (std::size_t n : {t - 1, t, t + 1}) {
       const auto list = list::generators::random_list(n, 23);
-      TuningGuard guard(FastMode::kFusedFull);
+      TuningGuard guard(/*fused=*/true);
       pram::ParallelExec inline_only(64, pool, pram::kNeverParallel);
       pram::ParallelExec pooled_always(64, pool, 1);
       pram::ParallelExec seam(64, pool, t);

@@ -22,7 +22,6 @@
 #include "pram/context.h"
 #include "pram/executor.h"
 #include "pram/machine.h"
-#include "pram/simd.h"
 #include "pram/sweep.h"
 #include "support/itlog.h"
 #include "support/rng.h"
@@ -305,12 +304,11 @@ std::vector<label_t> counted_labels(const list::LinkedList& list,
   return labels;
 }
 
-enum class Backend { kFused, kFusedScalar, kLegacy, kMachine };
+enum class Backend { kFused, kLegacy, kMachine };
 
 const char* to_string(Backend b) {
   switch (b) {
     case Backend::kFused: return "fused";
-    case Backend::kFusedScalar: return "fused-scalar";
     case Backend::kLegacy: return "legacy";
     case Backend::kMachine: return "machine";
   }
@@ -320,10 +318,7 @@ const char* to_string(Backend b) {
 std::size_t partition_sets_on(Backend backend, const AlgorithmEntry& entry,
                               const list::LinkedList& list) {
   const pram::SweepTuning saved = pram::tuning();
-  const pram::simd::Level level = pram::simd::active_level();
   pram::tuning().fused = backend != Backend::kLegacy;
-  if (backend == Backend::kFusedScalar)
-    pram::simd::set_level(pram::simd::Level::kScalar);
   MatchResult out;
   const MatchDispatcher& dispatch =
       AlgorithmRegistry::instance().match_dispatcher();
@@ -337,7 +332,6 @@ std::size_t partition_sets_on(Backend backend, const AlgorithmEntry& entry,
     dispatch.run(ctx, list, entry.canonical, out);
   }
   pram::tuning() = saved;
-  pram::simd::set_level(level);
   return out.partition_sets;
 }
 
@@ -364,8 +358,8 @@ TEST(PartitionFn, PartitionSetsCountTheLabelsOnEveryBackend) {
             counted_labels(lst, entry->canonical);
         const std::size_t want =
             std::set<label_t>(labels.begin(), labels.end()).size();
-        for (const Backend b : {Backend::kFused, Backend::kFusedScalar,
-                                Backend::kLegacy, Backend::kMachine})
+        for (const Backend b :
+             {Backend::kFused, Backend::kLegacy, Backend::kMachine})
           EXPECT_EQ(partition_sets_on(b, *entry, lst), want)
               << entry->name << " " << shape << " n=" << n << " "
               << to_string(b);
