@@ -1,20 +1,20 @@
 // Raw-speed experiment for the production thread backend: the fused
-// chunk-contiguous sweeps + software prefetch + SIMD label crunching +
-// adaptive parallel threshold (pram/sweep.h and friends) against the
-// legacy per-element dispatch, on the hot parallel workloads — Match1–4
-// and both list rankings — with the sequential matching and the
-// sequential ranking as the yardstick rows: their "fused ms" says whether
-// any PRAM algorithm beats the O(n) walk on the host (neither walk has a
-// legacy path, so their vs_legacy is noise around 1).
+// chunk-contiguous sweeps + software prefetch + SIMD label crunching
+// (pram/sweep.h and friends) against the legacy per-element dispatch, on
+// the hot parallel workloads — Match1–4 and both list rankings — with the
+// sequential matching and the sequential ranking as the yardstick rows:
+// their "fused ms" says whether any PRAM algorithm beats the O(n) walk on
+// the host (neither walk has a legacy path, so their vs_legacy is noise
+// around 1).
 //
 // "Legacy" here is the same binary with the fast paths switched off
-// (pram::tuning().fused = false) and the threshold pinned at the
-// historical constant kDefaultParallelThreshold: that combination executes
-// the identical per-element step bodies the backend ran before the fused
-// sweeps existed, so the ratio is a faithful before/after. Both modes MUST
-// produce bit-identical results and cost surfaces (asserted here with
-// LLMP_CHECK and enforced independently by tests/fused_backend_test.cpp);
-// only the wall clock may move.
+// (pram::tuning().fused = false): it executes the identical per-element
+// step bodies the backend ran before the fused sweeps existed, so the
+// ratio is a faithful before/after. Both modes run at ParallelExec's one
+// inline/pooled threshold, so that switch is all they differ in. Both
+// modes MUST produce bit-identical results and cost surfaces (asserted
+// here with LLMP_CHECK and enforced independently by
+// tests/fused_backend_test.cpp); only the wall clock may move.
 //
 //   --n N                list size (default 2^16; the speedup acceptance
 //                        runs use --n 2097152, i.e. n >= 1M)
@@ -156,19 +156,9 @@ int run(int argc, char** argv) {
   const auto list = list::generators::random_list(n, 42);
 
   pram::ThreadPool pool(workers);
-  pram::ParallelExec calibrated(p, pool);
 
   std::cout << "bench_thread_backend: fused sweeps vs legacy dispatch, n="
-            << n << ", workers=" << workers << "\n\n";
-  {
-    fmt::Table t({"backend config", "workers", "calibrated_threshold",
-                  "threshold_measured"});
-    const std::size_t thr = calibrated.parallel_threshold();
-    t.add_row({"thread", fmt::num(workers),
-               thr == pram::kNeverParallel ? "never" : fmt::num(thr),
-               fmt::num(calibrated.calibration().measured ? 1 : 0)});
-    t.print();
-  }
+            << n << ", workers=" << workers << "\n";
 
   // Per-workload fused/legacy runs. The tuning toggle is process-wide, so
   // flip it only between whole runs (never concurrently with one).
@@ -181,8 +171,7 @@ int run(int argc, char** argv) {
     Row row;
     {
       pram::tuning().fused = false;
-      pram::ParallelExec exec(
-          p, pool, pram::ParallelExec::kDefaultParallelThreshold);
+      pram::ParallelExec exec(p, pool);
       pram::Context ctx(exec);
       row.legacy = timed(w, ctx, list, reps);
     }

@@ -38,7 +38,6 @@ import tempfile
 # committed bench/baselines/BENCH_<name>.json (seed with --update).
 GATE = {
     "bench_blocked_ranking": ["--n", "32768"],
-    "bench_dispatch": [],
     "bench_lemma1_sets": [],
     # Loopback load generator: the reconciliation ledger (requests / ok /
     # lost / dup / unknown per connection) is exact under full pipelining;
@@ -54,14 +53,10 @@ GATE = {
     "bench_walkdown": ["--n", "4096"],
 }
 
-# Counter keys that carry machine-dependent time, not model quantities.
-# calibrated_threshold / threshold_measured come from the adaptive
-# crossover measurement (per-host), ns_per_step from the dispatch
-# micro-bench's wall clock. prefetch_distance is a column of older
-# captures, taken while the distance was an environment setting.
+# Counter keys that carry machine-dependent time or harness settings,
+# not model quantities.
 VOLATILE_KEYS = {"real_time", "cpu_time", "iterations", "repetitions",
-                 "repetition_index", "threads", "calibrated_threshold",
-                 "threshold_measured", "prefetch_distance", "ns_per_step"}
+                 "repetition_index", "threads"}
 
 
 def is_volatile(key):

@@ -22,14 +22,15 @@
 #      including the malformed-frame fuzz decode suite in
 #      net_server_test, which is the suite's home turf,
 #   5. the threading tests (thread_pool_test, machine_test, serve_test,
-#      chaos_test, fused_backend_test, cut_test, net_server_test,
-#      metrics_test, and the LlmpServe exit-code tests, which run the
-#      llmp_serve binary)
-#      under TSan — the chaos storm exercises fault injection, worker
-#      restarts, retries and the watchdog, the net tests the
-#      IO-thread/worker completion handoff, and the metrics tests the
-#      latency histogram's record() racing percentile() and reset(), with
-#      the race detector watching.
+#      chaos_test, fused_backend_test, cut_test, matching_test,
+#      net_server_test, metrics_test, and the LlmpServe exit-code tests,
+#      which run the llmp_serve binary)
+#      under TSan — the pool tests and the ParallelExec and
+#      MatchingExecutors tests run steps on the pool, the chaos storm
+#      exercises fault injection, worker restarts, retries and the
+#      watchdog, the net tests the IO-thread/worker completion handoff,
+#      and the metrics tests the latency histogram's record() racing
+#      percentile() and reset(), with the race detector watching.
 #
 # Usage: scripts/check.sh [--fast]   (--fast skips the sanitizer builds)
 set -euo pipefail
@@ -102,8 +103,9 @@ cmake -B build-tsan -S . \
   -DLLMP_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target thread_pool_test machine_test serve_test chaos_test \
-  fused_backend_test cut_test net_server_test metrics_test llmp_serve_tool
+  fused_backend_test cut_test matching_test net_server_test metrics_test \
+  llmp_serve_tool
 (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-  -R "ThreadPool|Machine|Serve|BoundedQueue|Chaos|FusedBackend|CutKernel|Net|Metrics")
+  -R "ThreadPool|ParallelExec|MatchingExecutors|Machine|Serve|BoundedQueue|Chaos|FusedBackend|CutKernel|Net|Metrics")
 
 echo "check.sh: all green"

@@ -39,7 +39,6 @@
 #include <utility>
 #include <vector>
 
-#include "pram/calibrate.h"
 #include "pram/stats.h"
 #include "pram/thread_pool.h"
 #include "support/check.h"
@@ -117,47 +116,38 @@ class SeqExec {
   Stats stats_;
 };
 
+/// Threshold value meaning "never dispatch to the pool".
+inline constexpr std::size_t kNeverParallel = static_cast<std::size_t>(-1);
+
 /// Thread-pool executor: each step's virtual processors are chunked over
 /// the pool. Correct for all llmp algorithms by the double-buffer
 /// discipline (see header comment). The processor budget p for the cost
-/// model is independent of the pool size.
+/// model is independent of the pool size, and so is the threshold below:
+/// where a step stops running inline is a wall-clock choice the cost model
+/// does not see.
 class ParallelExec {
  public:
-  /// Historical default crossover, kept as the documented fallback and for
-  /// tests that pin the inline/pooled seam at an exact boundary. The
-  /// default constructor no longer uses it: the threshold is *measured*
-  /// (pram/calibrate.h) — per host, per pool size — and LLMP_PARALLEL_
-  /// THRESHOLD or the explicit constructor below can override it.
+  /// Steps and sweeps with fewer processors than this run inline on the
+  /// caller; larger ones run one contiguous chunk per pool thread.
   static constexpr std::size_t kDefaultParallelThreshold = 2048;
 
-  /// Adaptive threshold: micro-calibrated at construction (cached per
-  /// process), env-overridable. A zero-worker pool calibrates to
-  /// kNeverParallel, which hoists the old per-step `workers() == 0`
-  /// re-check out of the hot path entirely.
-  ParallelExec(std::size_t processors, ThreadPool& pool)
-      : ParallelExec(processors, pool,
-                     calibrate_parallel_threshold(pool)) {}
-
-  /// Explicit threshold: steps/sweeps with nprocs below it run inline on
-  /// the caller. The zero-worker hoist still applies.
+  /// A pool with zero workers pins the threshold at kNeverParallel, so the
+  /// inline/pooled decision is made once here and never re-checks the
+  /// pool's size per step.
   ParallelExec(std::size_t processors, ThreadPool& pool,
-               std::size_t threshold)
-      : ParallelExec(processors, pool,
-                     Calibration{threshold, /*measured=*/false}) {}
+               std::size_t threshold = kDefaultParallelThreshold)
+      : p_(processors),
+        pool_(&pool),
+        threshold_(pool.workers() == 0 ? kNeverParallel : threshold) {
+    LLMP_CHECK(processors >= 1);
+  }
 
+  /// One step is one sweep whose range body visits its indices in order.
   template <class F>
   void step(std::size_t nprocs, std::uint64_t unit_cost, F&& body) {
-    account(nprocs, unit_cost);
-    if (nprocs < threshold_) {
+    sweep(nprocs, unit_cost, [&body](std::size_t lo, std::size_t hi) {
       DirectMem m;
-      for (std::size_t v = 0; v < nprocs; ++v) body(v, m);
-      return;
-    }
-    // Templated chunked dispatch: the pool inlines the body per chunk, no
-    // per-index std::function hop (thread_pool.h).
-    pool_->parallel_for(nprocs, [&body](std::size_t v) {
-      DirectMem m;
-      body(v, m);
+      for (std::size_t v = lo; v < hi; ++v) body(v, m);
     });
   }
 
@@ -184,21 +174,10 @@ class ParallelExec {
   Stats& stats() { return stats_; }
   const Stats& stats() const { return stats_; }
 
-  /// The effective inline/pooled crossover (kNeverParallel = always
-  /// inline, e.g. zero workers or a host where the pool never won).
+  /// The inline/pooled crossover (kNeverParallel = always inline).
   std::size_t parallel_threshold() const { return threshold_; }
-  /// How the threshold was chosen (measured vs. pinned).
-  const Calibration& calibration() const { return calibration_; }
 
  private:
-  ParallelExec(std::size_t processors, ThreadPool& pool, Calibration cal)
-      : p_(processors),
-        pool_(&pool),
-        calibration_(cal),
-        threshold_(pool.workers() == 0 ? kNeverParallel : cal.threshold) {
-    LLMP_CHECK(processors >= 1);
-  }
-
   void account(std::size_t nprocs, std::uint64_t unit_cost) {
     stats_.depth += 1;
     stats_.time_p += ceil_div(nprocs, p_) * unit_cost;
@@ -207,7 +186,6 @@ class ParallelExec {
 
   std::size_t p_;
   ThreadPool* pool_;
-  Calibration calibration_;
   std::size_t threshold_;
   Stats stats_;
 };

@@ -1,16 +1,18 @@
 // Persistent SPMD worker pool.
 //
-// The pool owns `workers` threads that sleep between jobs. `parallel_for`
-// splits an index range into contiguous chunks, one per worker plus the
-// calling thread, and blocks until all chunks complete. Exceptions thrown
-// by the body are captured and rethrown on the caller (first one wins).
+// The pool owns `workers` threads that sleep between jobs. Its one
+// dispatch, `parallel_for_slices`, splits an index range into contiguous
+// chunks, one per worker plus the calling thread, calls the body once per
+// chunk with that chunk's [lo, hi), and blocks until all chunks complete.
+// Exceptions thrown by the body are captured and rethrown on the caller
+// (first one wins).
 //
-// `parallel_for` is a template: the per-chunk slice loop calls the body
-// directly (inlined at the call site), and only the per-*chunk* dispatch
-// is type-erased — as a raw {function pointer, context pointer} pair, not
-// a std::function — so per-step dispatch cost does not scale with the
-// step's processor count. The erasure is safe without ownership because
-// dispatch blocks until every slice has run.
+// `parallel_for_slices` is a template: the per-chunk call is inlined at
+// the call site, and only the per-*chunk* dispatch is type-erased — as a
+// raw {function pointer, context pointer} pair, not a std::function — so
+// per-step dispatch cost does not scale with the step's processor count.
+// The erasure is safe without ownership because dispatch blocks until
+// every slice has run.
 //
 // The pool backs ParallelExec's synchronous steps: because every algorithm
 // step writes only cells that no other virtual processor reads in the same
@@ -30,34 +32,18 @@ namespace llmp::pram {
 
 class ThreadPool {
  public:
-  /// Spawn `workers` background threads (>= 0; 0 makes parallel_for run
-  /// entirely on the caller, useful for tests of the dispatch logic).
+  /// Spawn `workers` background threads (>= 0; 0 makes
+  /// parallel_for_slices run entirely on the caller).
   explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Apply body(i) for all i in [0, n), split into per-thread contiguous
-  /// chunks. Blocks until done; rethrows the first body exception.
-  template <class F>
-  void parallel_for(std::size_t n, F&& body) {
-    if (n == 0) return;
-    const std::size_t slices = threads_.size() + 1;
-    const std::size_t chunk = (n + slices - 1) / slices;
-    auto slice = [&body, n, chunk](std::size_t tid) {
-      const std::size_t lo = tid * chunk;
-      const std::size_t hi = std::min(n, lo + chunk);
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    };
-    dispatch(&invoke<decltype(slice)>, &slice);
-  }
-
-  /// Range flavour of parallel_for: apply body(lo, hi) once per contiguous
-  /// chunk of [0, n) instead of once per index. This is the dispatch the
-  /// fused sweeps ride — one type-erased call per *chunk*, and the body
-  /// runs its own tight loop over the span (prefetch, SIMD, no per-element
-  /// hops at all). Blocks until done; rethrows the first body exception.
+  /// Apply body(lo, hi) once per contiguous chunk of [0, n): chunk tid <
+  /// workers() runs on worker tid, the last chunk on the caller. The body
+  /// runs its own loop over the span. Blocks until done; rethrows the first
+  /// body exception.
   template <class F>
   void parallel_for_slices(std::size_t n, F&& body) {
     if (n == 0) return;

@@ -230,7 +230,8 @@ TEST(Registry, EveryEntryRunsOnAllFourBackendsThroughContext) {
       if (steps_expected) EXPECT_GT(seq.stats().depth, 0u) << e->name;
     }
     {
-      pram::ParallelExec par(32, pool);
+      // Threshold 1: every step with a processor runs on the pool.
+      pram::ParallelExec par(32, pool, /*threshold=*/1);
       pram::Context ctx(par);
       e->runner->run(ctx, list);
       if (steps_expected) EXPECT_GT(par.stats().depth, 0u) << e->name;

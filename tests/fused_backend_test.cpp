@@ -164,15 +164,12 @@ TEST(FusedBackend, FusedThreadBackendMatchesMachineReferee) {
   }
 }
 
-TEST(FusedBackend, AdaptiveThresholdSeamIsResultInvariant) {
-  // Whatever threshold calibration lands on, results must not depend on
-  // it: run match4 and the randomized baseline right at the calibrated
-  // seam and at extreme pins (always-inline vs always-pooled).
+TEST(FusedBackend, ThresholdSeamIsResultInvariant) {
+  // Results must not depend on the threshold: run match4 and the
+  // randomized baseline right at the default seam and at extreme pins
+  // (always-inline vs always-pooled).
   pram::ThreadPool pool(2);
-  pram::ParallelExec calibrated(64, pool);
-  std::size_t t = calibrated.parallel_threshold();
-  if (t == pram::kNeverParallel || t > (std::size_t{1} << 14))
-    t = std::size_t{1} << 12;  // pool never won; still exercise both sides
+  const std::size_t t = pram::ParallelExec::kDefaultParallelThreshold;
   for (const char* name : {"match4", "randomized"}) {
     const core::AlgorithmEntry* entry =
         core::AlgorithmRegistry::instance().find(name);
@@ -182,7 +179,7 @@ TEST(FusedBackend, AdaptiveThresholdSeamIsResultInvariant) {
       TuningGuard guard(/*fused=*/true);
       pram::ParallelExec inline_only(64, pool, pram::kNeverParallel);
       pram::ParallelExec pooled_always(64, pool, 1);
-      pram::ParallelExec seam(64, pool, t);
+      pram::ParallelExec seam(64, pool);
       const BackendRun a = run_entry(inline_only, *entry, list);
       const BackendRun b = run_entry(pooled_always, *entry, list);
       const BackendRun c = run_entry(seam, *entry, list);

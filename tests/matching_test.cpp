@@ -117,7 +117,8 @@ TEST(MatchingExecutors, ParallelExecAgreesWithSeqExec) {
     for (auto alg : {Algorithm::kMatch1, Algorithm::kMatch2,
                      Algorithm::kMatch3, Algorithm::kMatch4}) {
       pram::SeqExec seq(32);
-      pram::ParallelExec par(32, pool);
+      // Threshold 1: every step with a processor runs on the pool.
+      pram::ParallelExec par(32, pool, /*threshold=*/1);
       core::MatchOptions opt;
       opt.algorithm = alg;
       const auto a = core::maximal_matching(seq, list, opt);

@@ -152,7 +152,7 @@ TEST(Executor, ZeroProcsStepIsFree) {
 TEST(Executor, ParallelExecMatchesSeqExecResults) {
   pram::ThreadPool pool(2);
   pram::SeqExec s(8);
-  pram::ParallelExec p(8, pool);
+  pram::ParallelExec p(8, pool, /*threshold=*/1);
   std::vector<std::uint64_t> a(5000, 0), b(5000, 0);
   s.step(5000, [&](std::size_t v, auto&& m) {
     m.wr(a, v, static_cast<std::uint64_t>(v * v));

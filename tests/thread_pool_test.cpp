@@ -14,79 +14,91 @@
 namespace llmp::pram {
 namespace {
 
+/// Adds 1 to hits[i] for every i in [lo, hi).
+auto count_into(std::vector<std::atomic<int>>& hits) {
+  return [&hits](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i)
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+  };
+}
+
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
+  // n below the slice count leaves trailing chunks empty; they must not
+  // call the body.
   for (std::size_t workers : {0u, 1u, 3u}) {
     ThreadPool pool(workers);
-    const std::size_t n = 10000;
-    std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(n, [&](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(hits[i].load(), 1) << "workers=" << workers << " i=" << i;
+    for (std::size_t n : {1u, 2u, 3u, 5u, 10000u}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.parallel_for_slices(n, count_into(hits));
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(hits[i].load(), 1)
+            << "workers=" << workers << " n=" << n << " i=" << i;
+    }
   }
 }
 
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool touched = false;
-  pool.parallel_for(0, [&](std::size_t) { touched = true; });
+  pool.parallel_for_slices(0, [&](std::size_t, std::size_t) {
+    touched = true;
+  });
   EXPECT_FALSE(touched);
+}
+
+/// Throws from the chunk that holds index 57 of [0, 100).
+void throw_at_57(ThreadPool& pool) {
+  pool.parallel_for_slices(100, [](std::size_t lo, std::size_t hi) {
+    if (lo <= 57 && 57 < hi) throw std::runtime_error("boom");
+  });
 }
 
 TEST(ThreadPool, BodyExceptionPropagatesToCaller) {
   ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [&](std::size_t i) {
-                                   if (i == 57)
-                                     throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
+  EXPECT_THROW(throw_at_57(pool), std::runtime_error);
   // The pool survives and is reusable after an exception.
-  std::atomic<int> sum{0};
-  pool.parallel_for(10, [&](std::size_t i) {
-    sum.fetch_add(static_cast<int>(i));
-  });
-  EXPECT_EQ(sum.load(), 45);
+  std::vector<std::atomic<int>> hits(10);
+  pool.parallel_for_slices(10, count_into(hits));
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ZeroWorkerPoolRunsInlineAndPropagatesExceptions) {
-  // workers == 0 must degrade to a plain sequential loop on the caller
-  // thread: full coverage, exceptions surfaced, pool reusable after.
+  // workers == 0 must degrade to one chunk on the caller thread: full
+  // coverage, exceptions surfaced, pool reusable after.
   ThreadPool pool(0);
   EXPECT_EQ(pool.workers(), 0u);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [&](std::size_t i) {
-                                   if (i == 57)
-                                     throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
-  std::uint64_t sum = 0;  // no atomics needed: everything is inline
-  pool.parallel_for(10, [&](std::size_t i) { sum += i; });
-  EXPECT_EQ(sum, 45u);
+  EXPECT_THROW(throw_at_57(pool), std::runtime_error);
+  std::size_t calls = 0;  // no atomics needed: everything is inline
+  pool.parallel_for_slices(10, [&](std::size_t lo, std::size_t hi) {
+    EXPECT_EQ(lo, 0u);
+    EXPECT_EQ(hi, 10u);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1u);
 }
 
 TEST(ThreadPool, ManySmallJobsReuseWorkers) {
   ThreadPool pool(2);
   std::atomic<std::uint64_t> total{0};
   for (int round = 0; round < 200; ++round)
-    pool.parallel_for(16, [&](std::size_t i) {
-      total.fetch_add(i, std::memory_order_relaxed);
+    pool.parallel_for_slices(16, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i)
+        total.fetch_add(i, std::memory_order_relaxed);
     });
   EXPECT_EQ(total.load(), 200u * 120u);
 }
 
 TEST(ParallelExec, ThresholdBoundaryMatchesSeqExecExactly) {
   // ParallelExec runs steps with nprocs below its threshold inline and
-  // dispatches larger ones to the pool. Pin the seam with an explicit
-  // threshold (calibration would move it per machine): one below, at, and
-  // one above must all produce the same memory contents and the same
-  // Stats as SeqExec.
+  // dispatches larger ones to the pool. One below, at, and one above the
+  // default threshold must all produce the same memory contents and the
+  // same Stats as SeqExec.
   const std::size_t t = ParallelExec::kDefaultParallelThreshold;
   for (std::size_t n : {t - 1, t, t + 1}) {
     SeqExec seq(64);
     ThreadPool pool(3);
-    ParallelExec par(64, pool, t);
+    ParallelExec par(64, pool);
+    ASSERT_EQ(par.parallel_threshold(), t);
     std::vector<std::uint64_t> a_seq(n, 1), b_seq(n, 0);
     std::vector<std::uint64_t> a_par(n, 1), b_par(n, 0);
     auto run = [n](auto& exec, std::vector<std::uint64_t>& a,
@@ -153,8 +165,8 @@ TEST(ParallelExec, SweepAccountsExactlyLikeStep) {
 
 TEST(ParallelExec, ZeroWorkerPoolHoistsDispatchDecision) {
   // With no workers the pooled path can never win, so construction pins
-  // the threshold at kNeverParallel once — per-step re-checks of
-  // pool.workers() are gone (bench_dispatch measures the saving).
+  // the threshold at kNeverParallel once and no step re-checks
+  // pool.workers().
   ThreadPool pool(0);
   ParallelExec exec(64, pool);
   EXPECT_EQ(exec.parallel_threshold(), kNeverParallel);
@@ -162,23 +174,6 @@ TEST(ParallelExec, ZeroWorkerPoolHoistsDispatchDecision) {
   std::vector<std::uint64_t> a(n, 0);
   exec.step(n, [&](std::size_t v, auto&& m) { m.wr(a, v, v + 1); });
   for (std::size_t v = 0; v < n; ++v) ASSERT_EQ(a[v], v + 1);
-}
-
-TEST(ParallelExec, ExplicitThresholdOverridesCalibration) {
-  ThreadPool pool(2);
-  ParallelExec exec(64, pool, 123);
-  EXPECT_EQ(exec.parallel_threshold(), 123u);
-  EXPECT_FALSE(exec.calibration().measured);
-}
-
-TEST(ParallelExec, DefaultConstructionCalibratesOncePerPool) {
-  // Default construction measures (or reads LLMP_PARALLEL_THRESHOLD) and
-  // caches per worker count: two executors over equal-sized pools must
-  // agree, and the result is a usable threshold (possibly kNeverParallel).
-  ThreadPool pool_a(2), pool_b(2);
-  ParallelExec a(64, pool_a), b(64, pool_b);
-  EXPECT_EQ(a.parallel_threshold(), b.parallel_threshold());
-  EXPECT_GE(a.parallel_threshold(), 1u);
 }
 
 }  // namespace

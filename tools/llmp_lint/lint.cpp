@@ -574,8 +574,8 @@ void check_intrinsic_rules(const std::string& path, const std::string& text,
         {path, t.line, "raw-intrinsic",
          "raw intrinsic '" + t.text +
              "' outside src/pram/; call the pram::prefetch_ro / pram::simd "
-             "wrappers so the scalar fallback and runtime dispatch stay in "
-             "force"});
+             "wrappers (simd.h keeps a scalar body beside its vector one, "
+             "and simd_test checks each)"});
   }
 }
 
@@ -643,7 +643,7 @@ bool owns_storage(const std::string& path) {
 
 // src/pram/ is the single sanctioned home of raw prefetch/SIMD
 // intrinsics: prefetch.h wraps the prefetch builtin, and simd.h wraps the
-// vector kernels behind runtime dispatch with portable scalar fallbacks.
+// byte kernel, with a scalar body beside its AVX2 one.
 // Everywhere else a fast path must be spelled through those wrappers.
 bool under_pram(const std::string& path) {
   return path.find("src/pram/") == 0 ||

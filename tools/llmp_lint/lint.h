@@ -50,11 +50,11 @@
 //                         `_mm*` / `_mm256*` / `_mm512*` vector intrinsic,
 //                         an `__m128`/`__m256`/`__m512` vector type, or an
 //                         `*intrin.h` include. Prefetch and SIMD are
-//                         wrapped in pram/prefetch.h and the runtime-
-//                         dispatched pram/simd.h so every call site keeps
-//                         its portable scalar fallback and the
-//                         forced-scalar differential suite stays honest;
-//                         a raw intrinsic at a call site silently forks
+//                         wrapped in pram/prefetch.h and pram/simd.h, whose
+//                         byte kernel picks its AVX2 or scalar body by the
+//                         CPU, and simd_test checks both bodies on every
+//                         input; a raw intrinsic at a call site has no
+//                         scalar body and no such test, and silently forks
 //                         the fast path from the referee'd one.
 //   failpoint-name        An LLMP_FAILPOINT / LLMP_FAILPOINT_STATUS site
 //                         whose name literal is not `file.scope.event`
